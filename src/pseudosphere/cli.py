@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from multiprocessing import get_context
 
 from . import __version__
 from .weylops import Metric
@@ -99,8 +100,16 @@ def _summarize(records):
             "failed": failed}
 
 
-def _quantum_job(args):
-    family, idx, diag, a = args
+def _map_jobs(tasks, workers):
+    """Results of (function, *args) tasks in order, on ``workers`` processes."""
+    if workers <= 1:
+        return [fn(*args) for fn, *args in tasks]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=get_context("spawn")) as pool:
+        return [f.result() for f in [pool.submit(fn, *args) for fn, *args in tasks]]
+
+
+def _quantum_job(family, idx, diag, a):
     rep = verify_relation(family, idx, Metric(diag), ModelParams.from_a(a))
     return {"kind": "quantum", "family": family, "indices": list(idx),
             "signature": list(diag), "a": [_rat(x) for x in a],
@@ -122,12 +131,8 @@ def cmd_verify_algebra(args):
             continue  # family needs a higher dimension than the manifest's
         for metric in metrics:
             for p in params:
-                jobs.append((fam, idx, metric.diag, p.a))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_quantum_job, jobs))
-    else:
-        records = [_quantum_job(j) for j in jobs]
+                jobs.append((_quantum_job, fam, idx, metric.diag, p.a))
+    records = _map_jobs(jobs, args.jobs)
     # the discovered linear relation, per signature, on the first params
     rels = []
     if params:
@@ -149,12 +154,26 @@ def cmd_verify_algebra(args):
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
+def _classical_job(family, idx, diag, a):
+    r = verify_classical_relation(family, idx, Metric(diag), ModelParams.from_a(a))
+    r.update({"kind": "classical", "signature": list(diag),
+              "a": [_rat(x) for x in a], "indices": list(r["indices"])})
+    return r
+
+
+def _correspondence_job(diag, a):
+    cc = correspondence_check(Metric(diag), ModelParams.from_a(a))
+    return {"kind": "correspondence", "signature": list(diag),
+            "a": [_rat(x) for x in a], "passed": cc["passed"],
+            "global_sign": cc["global_sign"]}
+
+
 def cmd_classical_check(args):
     manifest = _load_manifest(args.manifest)
     metrics = _manifest_metrics(manifest)
     params = _manifest_params(manifest)
     dim = manifest.get("dim", 3)
-    records = []
+    jobs = []
     for fam in manifest.get("relations", RELATION_FAMILIES):
         try:
             idx = default_indices(fam, dim)
@@ -162,19 +181,11 @@ def cmd_classical_check(args):
             continue
         for metric in metrics:
             for p in params:
-                r = verify_classical_relation(fam, idx, metric, p)
-                r.update({"kind": "classical", "signature": list(metric.diag),
-                          "a": [_rat(x) for x in p.a],
-                          "indices": list(r["indices"])})
-                records.append(r)
+                jobs.append((_classical_job, fam, idx, metric.diag, p.a))
     for metric in metrics:
         for p in params:
-            cc = correspondence_check(metric, p)
-            records.append({"kind": "correspondence",
-                            "signature": list(metric.diag),
-                            "a": [_rat(x) for x in p.a],
-                            "passed": cc["passed"],
-                            "global_sign": cc["global_sign"]})
+            jobs.append((_correspondence_job, metric.diag, p.a))
+    records = _map_jobs(jobs, args.jobs)
     report = {"tool": "pseudosphere", "version": __version__,
               "command": "classical-check", "records": records,
               "summary": _summarize(records)}

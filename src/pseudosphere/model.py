@@ -19,6 +19,7 @@ from .weylops import (
     Metric,
     NotDivisible,
     WeylOp,
+    _pivot_shift,
     anticommutator,
     commutator,
     compose,
@@ -371,8 +372,7 @@ def discover_linear_relation(metric: Metric, params: ModelParams) -> LinearRelat
     # one consistent normal form: clear pivot denominators by a common even
     # power of s_d (linear in the operator), then rewrite mod the quadric
     last = d - 1
-    low = min((key[0][last] for g in raw for key in g.terms), default=0)
-    shift = 2 * ((-low + 1) // 2) if low < 0 else 0
+    shift = _pivot_shift((key for g in raw for key in g.terms), last)
     gens = [reduce_mod_constraint(shift_coord(g, last, shift), metric) for g in raw]
     ncols = len(gens)
 

@@ -8,8 +8,9 @@ generic system, and the quantum -> classical correspondence check.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, mul
 
-from .weylops import Metric, WeylOp
+from .weylops import Metric, WeylOp, _pivot_shift, _reduce_terms
 from .model import ModelParams
 
 Mono = tuple[int, ...]
@@ -151,40 +152,12 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 
 def reduce_mod_constraint_cl(f: PhasePoly, metric: Metric) -> PhasePoly:
     """Rewrite s_d^2 via the quadric, as in the operator kernel."""
-    d = f.dim
-    last = d - 1
-    gdd = metric.diag[last]
-    repl = [((0,) * d, Fraction(-gdd))]
-    for i in range(last):
-        repl.append((tuple(2 if k == i else 0 for k in range(d)),
-                     Fraction(-gdd * metric.diag[i])))
-    out: dict[tuple[Mono, Mono], Fraction] = {}
-    work = list(f.terms.items())
-    while work:
-        (A, B), c = work.pop()
-        if A[last] >= 2:
-            Ared = tuple(a - 2 if i == last else a for i, a in enumerate(A))
-            for mono, r in repl:
-                key = (tuple(Ared[i] + mono[i] for i in range(d)), B)
-                work.append((key, c * r))
-            continue
-        w = out.get((A, B), _ZERO) + c
-        if w:
-            out[(A, B)] = w
-        else:
-            out.pop((A, B), None)
-    return PhasePoly(d, out)
+    return PhasePoly(f.dim, _reduce_terms(f.terms, f.dim, metric, mul, add))
 
 
 def vanishes_mod_constraint_cl(f: PhasePoly, metric: Metric) -> bool:
     last = f.dim - 1
-    low = min((key[0][last] for key in f.terms), default=0)
-    if low < 0:
-        shift = 2 * ((-low + 1) // 2)
-        f = PhasePoly(f.dim, {
-            (tuple(a + shift if i == last else a for i, a in enumerate(A)), B): c
-            for (A, B), c in f.terms.items()
-        })
+    f = f * PhasePoly.coord(f.dim, last, _pivot_shift(f.terms, last))
     return reduce_mod_constraint_cl(f, metric).is_zero()
 
 

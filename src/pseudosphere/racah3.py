@@ -192,8 +192,11 @@ def casimir(params: ModelParams) -> CasimirExpr:
 
 def casimir_operator(metric: Metric, params: ModelParams) -> WeylOp:
     """Generator-form Casimir expanded in the operator realization."""
-    k = structure_constants(params)
-    r = abc_realization(metric, params)
+    return _casimir_expansion(abc_realization(metric, params),
+                              structure_constants(params))
+
+
+def _casimir_expansion(r: ABCRealization, k: QuadraticAlgebraConstants) -> WeylOp:
     A, B, C, H = r.A, r.B, r.C, r.H
     delta = _hlin_op(k.delta, H)
     dd = _hlin_op(k.d_const, H)
@@ -219,8 +222,8 @@ def verify_casimir(metric: Metric, params: ModelParams) -> dict:
     resolution: operator equality with the realized K(H), and centrality
     with respect to A and B."""
     r = abc_realization(metric, params)
-    K = casimir_operator(metric, params)
     ce = casimir(params)
+    K = _casimir_expansion(r, ce.constants)
     H = r.H
     K_real = (compose(H, H).scale(ce.realized_form[2])
               + H.scale(ce.realized_form[1])

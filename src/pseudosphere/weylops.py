@@ -367,17 +367,52 @@ def shift_coord(op: WeylOp, axis: int, power: int) -> WeylOp:
     return WeylOp(op.dim, out)
 
 
-def vanishes_mod_constraint(op: WeylOp, metric: Metric) -> bool:
-    """Membership of op in the left ideal generated by the quadric.
+def _pivot_shift(keys, last: int) -> int:
+    """Least even power of s_last that clears its negative powers in keys."""
+    low = min((A[last] for A, _ in keys), default=0)
+    return 2 * ((-low + 1) // 2) if low < 0 else 0
 
-    Negative powers of the pivot coordinate are cleared by an even power
-    of s_d (a unit) before rewriting; the result is zero exactly when op
-    annihilates every restriction to the constraint surface.
-    """
+
+def _reduce_terms(terms: dict, d: int, metric: Metric, scale, add) -> dict:
+    """Normal form of a d-variable term dictionary modulo the quadric, over
+    the scalar ring of ``scale(c, rational)`` and ``add(c, c2)`` (zero falsy).
+    Level by level in the s_d exponent e, from the top: s_d^2 is replaced
+    once and the images merge into level e - 2, so work is linear in e."""
+    if metric.dim != d:
+        raise DimensionMismatch(f"metric dim {metric.dim} != {d}")
+    last = d - 1
+    gdd = metric.diag[last]
+    # s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) as (exponent step, rational)
+    repl = [(tuple(-2 if k == last else 0 for k in range(d)), Fraction(-gdd))]
+    for i in range(last):
+        repl.append((tuple(2 if k == i else -2 if k == last else 0 for k in range(d)),
+                     Fraction(-gdd * metric.diag[i])))
+    levels: dict[int, dict] = {}
+    for key, c in terms.items():
+        levels.setdefault(key[0][last], {})[key] = c
+    for e in range(max(levels, default=0), 1, -1):
+        below = levels.setdefault(e - 2, {})
+        for (A, B), c in levels.pop(e, {}).items():
+            for step, r in repl:
+                key = (tuple(a + s for a, s in zip(A, step)), B)
+                old = below.get(key)
+                new = scale(c, r) if old is None else add(old, scale(c, r))
+                if new:
+                    below[key] = new
+                else:
+                    below.pop(key, None)
+    return {key: c for bucket in levels.values() for key, c in bucket.items() if c}
+
+
+def vanishes_mod_constraint(op: WeylOp, metric: Metric) -> bool:
+    """Membership of op in (q+1)·W, q = sum_i g_ii s_i^2: the operators
+    (q+1) X, whose output vanishes on the quadric (the right ideal of q+1
+    when W·x is the left ideal of x).  A unit s_d^(2k), commuting with q+1,
+    clears negative pivot powers; q+1 is then monic of degree 2 in s_d up
+    to the sign g_dd, so the remainder per derivative monomial D^B (the
+    normal form) is unique, and zero exactly on members."""
     last = op.dim - 1
-    low = min((key[0][last] for key in op.terms), default=0)
-    if low < 0:
-        op = shift_coord(op, last, 2 * ((-low + 1) // 2))
+    op = shift_coord(op, last, _pivot_shift(op.terms, last))
     return reduce_mod_constraint(op, metric).is_zero()
 
 
@@ -386,32 +421,7 @@ def reduce_mod_constraint(op: WeylOp, metric: Metric) -> WeylOp:
 
     Coordinate monomials with exponent >= 2 in the last coordinate are
     rewritten via s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) until none
-    remain; coefficients stay exact and the result is idempotent.
+    remain; coefficients stay exact and the result is idempotent.  With no
+    negative s_d exponent it is the unique remainder modulo (q+1)·W.
     """
-    if metric.dim != op.dim:
-        raise DimensionMismatch(f"metric dim {metric.dim} != {op.dim}")
-    d = op.dim
-    last = d - 1
-    gdd = metric.diag[last]
-    # replacement for s_d^2 as a list of (smon, rational) pairs
-    repl: list[tuple[Mono, Fraction]] = [((0,) * d, Fraction(-gdd))]
-    for i in range(last):
-        mono = tuple(2 if k == i else 0 for k in range(d))
-        repl.append((mono, Fraction(-gdd * metric.diag[i])))
-
-    out: dict[tuple[Mono, Mono], HPoly] = {}
-    work = [(key, hp) for key, hp in op.terms.items()]
-    while work:
-        (A, B), hp = work.pop()
-        if A[last] >= 2:
-            Ared = tuple(a - 2 if i == last else a for i, a in enumerate(A))
-            for mono, c in repl:
-                key = (tuple(Ared[i] + mono[i] for i in range(d)), B)
-                work.append((key, _hp_scale(hp, c)))
-            continue
-        merged = _hp_add(out.get((A, B), {}), hp)
-        if merged:
-            out[(A, B)] = merged
-        else:
-            out.pop((A, B), None)
-    return WeylOp(d, out)
+    return WeylOp(op.dim, _reduce_terms(op.terms, op.dim, metric, _hp_scale, _hp_add))

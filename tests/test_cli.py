@@ -52,6 +52,19 @@ class TestClassicalCheck:
         corr = [r for r in report["records"] if r["kind"] == "correspondence"]
         assert corr and all(r["global_sign"] == -1 for r in corr)
 
+    def test_jobs_match_serial(self, tmp_path):
+        manifest = dict(DEFAULT_MANIFEST, signatures=[[1, 1, -1], [-1, -1, -1]],
+                        relations=["symmetry", "qq_c", "qc_adjacent"])
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(manifest))
+        reports = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"cl{jobs}.json"
+            assert run(["classical-check", "--manifest", str(mpath),
+                        "--jobs", jobs, "--out", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+
 
 class TestRacahSpectrum:
     def test_h2_worked_example_csv(self, tmp_path):

@@ -1,9 +1,11 @@
 """Classical phase-space algebra and the quantum -> classical limit."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudosphere.weylops import Metric
 from pseudosphere.model import ModelParams, RELATION_FAMILIES, default_indices
@@ -19,6 +21,7 @@ from pseudosphere.phase import (
     verify_classical_relation,
     principal_symbol,
     correspondence_check,
+    reduce_mod_constraint_cl,
     vanishes_mod_constraint_cl,
 )
 
@@ -39,6 +42,65 @@ def random_poly(rng, dim=2, max_terms=3):
         f += PhasePoly.term(dim, F(rng.randint(-6, 6), rng.randint(1, 4)),
                             smon=smon, pmon=pmon)
     return f
+
+
+def reference_reduce_cl(f, metric):
+    """Branch-by-branch worklist rewrite of s_d^2 with rational
+    coefficients, merged only at the end: the oracle for the shared
+    level-wise normal form."""
+    d = f.dim
+    last = d - 1
+    gdd = metric.diag[last]
+    repl = [((0,) * d, F(-gdd))]
+    for i in range(last):
+        repl.append((tuple(2 if k == i else 0 for k in range(d)),
+                     F(-gdd * metric.diag[i])))
+    out = {}
+    work = list(f.terms.items())
+    while work:
+        (A, B), c = work.pop()
+        if A[last] >= 2:
+            Ared = tuple(a - 2 if i == last else a for i, a in enumerate(A))
+            for mono, r in repl:
+                key = (tuple(Ared[i] + mono[i] for i in range(d)), B)
+                work.append((key, c * r))
+            continue
+        w = out.get((A, B), F(0)) + c
+        if w:
+            out[(A, B)] = w
+        else:
+            out.pop((A, B), None)
+    return PhasePoly(d, out)
+
+
+NONZERO = [n for n in range(-6, 7) if n]
+
+
+@st.composite
+def pivot_heavy_polys(draw, dim):
+    """Phase-space polynomials whose s_d exponents reach 12 and go down to -4."""
+    f = PhasePoly.zero(dim)
+    for _ in range(draw(st.integers(1, 6))):
+        smon = tuple(draw(st.integers(-2, 3)) for _ in range(dim - 1)) \
+            + (draw(st.integers(-4, 12)),)
+        pmon = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        coeff = F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 4)))
+        f += PhasePoly.term(dim, coeff, smon=smon, pmon=pmon)
+    return f
+
+
+@pytest.mark.parametrize("metric", [
+    Metric(diag) for diag in itertools.product((1, -1), repeat=3)
+] + [Metric((1, -1, 1, -1))], ids=lambda m: str(m.diag))
+class TestLevelwiseNormalFormCl:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_reduced_idempotent(self, metric, data):
+        f = data.draw(pivot_heavy_polys(metric.dim))
+        once = reduce_mod_constraint_cl(f, metric)
+        assert once == reference_reduce_cl(f, metric)
+        assert all(A[-1] < 2 for A, _ in once.terms)
+        assert reduce_mod_constraint_cl(once, metric) == once
 
 
 class TestBracketExamples:

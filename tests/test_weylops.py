@@ -1,9 +1,11 @@
 """Exact Weyl-algebra kernel: frozen examples plus randomized oracles."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudosphere.weylops import (
     Metric,
@@ -19,6 +21,8 @@ from pseudosphere.weylops import (
     lp_eval,
     reduce_mod_constraint,
     vanishes_mod_constraint,
+    _hp_add,
+    _hp_scale,
 )
 
 
@@ -158,6 +162,82 @@ class TestReduceModConstraint:
         elt = compose(quad, s(2, -2))  # in the ideal, negative pivot power
         assert vanishes_mod_constraint(elt, m)
         assert not vanishes_mod_constraint(elt + WeylOp.const(3, 1), m)
+
+
+def reference_reduce(op, metric):
+    """Branch-by-branch worklist rewrite of s_d^2, merged only at the end:
+    exponential in the s_d exponent, kept as the oracle for the level-wise
+    normal form."""
+    d = op.dim
+    last = d - 1
+    gdd = metric.diag[last]
+    repl = [((0,) * d, F(-gdd))]
+    for i in range(last):
+        mono = tuple(2 if k == i else 0 for k in range(d))
+        repl.append((mono, F(-gdd * metric.diag[i])))
+    out = {}
+    work = list(op.terms.items())
+    while work:
+        (A, B), hp = work.pop()
+        if A[last] >= 2:
+            Ared = tuple(a - 2 if i == last else a for i, a in enumerate(A))
+            for mono, c in repl:
+                key = (tuple(Ared[i] + mono[i] for i in range(d)), B)
+                work.append((key, _hp_scale(hp, c)))
+            continue
+        merged = _hp_add(out.get((A, B), {}), hp)
+        if merged:
+            out[(A, B)] = merged
+        else:
+            out.pop((A, B), None)
+    return WeylOp(d, out)
+
+
+# every d = 3 signature and one d = 4 metric
+PROPERTY_METRICS = [Metric(diag) for diag in itertools.product((1, -1), repeat=3)] \
+    + [Metric((1, -1, 1, -1))]
+NONZERO = [n for n in range(-6, 7) if n]
+
+
+@st.composite
+def pivot_heavy_ops(draw, dim):
+    """Operators whose s_d exponents reach 12 and go down to -4."""
+    op = WeylOp.zero(dim)
+    for _ in range(draw(st.integers(1, 6))):
+        smon = tuple(draw(st.integers(-2, 3)) for _ in range(dim - 1)) \
+            + (draw(st.integers(-4, 12)),)
+        dmon = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        coeff = F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 4)))
+        op += WeylOp.term(dim, coeff, smon=smon, dmon=dmon,
+                          hpow=draw(st.integers(0, 2)))
+    return op
+
+
+def _quadric_plus_one(metric):
+    d = metric.dim
+    return sum((s(i, 2, dim=d).scale(g) for i, g in enumerate(metric.diag)),
+               WeylOp.const(d, 1))
+
+
+@pytest.mark.parametrize("metric", PROPERTY_METRICS, ids=lambda m: str(m.diag))
+class TestLevelwiseNormalForm:
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_reduced_idempotent(self, metric, data):
+        op = data.draw(pivot_heavy_ops(metric.dim))
+        once = reduce_mod_constraint(op, metric)
+        assert once == reference_reduce(op, metric)
+        assert all(A[-1] < 2 for A, _ in once.terms)
+        assert reduce_mod_constraint(once, metric) == once
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_multiples_of_quadric_vanish(self, metric, data):
+        # (q+1) X is in (q+1)·W whatever the pivot powers of X; adding 1
+        # takes it out
+        elt = compose(_quadric_plus_one(metric), data.draw(pivot_heavy_ops(metric.dim)))
+        assert vanishes_mod_constraint(elt, metric)
+        assert not vanishes_mod_constraint(elt + WeylOp.const(metric.dim, 1), metric)
 
 
 def _constraint_points():
