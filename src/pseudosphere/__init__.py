@@ -48,15 +48,18 @@ from .racah3 import (
     find_spectrum,
     match_spectrum_to_signature,
 )
-from .specsolver import (
-    SpectrumLevel,
-    SLProblem,
-    GridSpec,
-    ConvergenceError,
-    analytic_spectrum_h2,
-    analytic_spectrum_s2,
-    solve_sturm_liouville,
-    pde_spectrum,
-)
+
+_SPECSOLVER_NAMES = ("SpectrumLevel", "SLProblem", "GridSpec", "ConvergenceError",
+                     "analytic_spectrum_h2", "analytic_spectrum_s2",
+                     "solve_sturm_liouville", "pde_spectrum")
+
+
+def __getattr__(name):
+    # numpy and scipy load only when a specsolver name is first asked for
+    if name in _SPECSOLVER_NAMES:
+        from . import specsolver
+        return getattr(specsolver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

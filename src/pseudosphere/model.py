@@ -283,8 +283,7 @@ def verify_relation(family: str, indices, metric: Metric,
 
 def default_indices(family: str, dim: int) -> tuple[int, ...]:
     """Smallest index tuple admitting the family (0-based)."""
-    need = {"symmetry": 2, "qq_c": 3, "qc_adjacent": 3, "qc_disjoint": 4,
-            "cc_share2": 4, "cc_share1": 5, "cc_disjoint": 6}[family]
+    need = MIN_DIMENSION[family]
     if dim < need:
         raise ValueError(f"family {family} needs dimension >= {need}")
     return tuple(range(need))

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
+from operator import add, sub
 
 Mono = tuple[int, ...]
 HPoly = dict[int, Fraction]
@@ -46,18 +48,6 @@ def _hp_add(a: HPoly, b: HPoly) -> HPoly:
             out[k] = w
         else:
             out.pop(k, None)
-    return out
-
-def _hp_mul(a: HPoly, b: HPoly) -> HPoly:
-    out: HPoly = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            k = i + j
-            w = out.get(k, _ZERO) + u * v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
     return out
 
 def _hp_scale(a: HPoly, c: Fraction) -> HPoly:
@@ -231,50 +221,53 @@ class WeylOp:
 # ---------------------------------------------------------------------------
 # core operations
 
-def _leibniz_axis(b: int, c: int):
-    """Nonzero contributions of D^b composed with s^c along one axis.
+@lru_cache(maxsize=1024)
+def _leibniz(B: Mono, C: Mono) -> tuple[tuple[Mono, int], ...]:
+    """Nonzero terms (j, coefficient) of D^B s^C = sum_j coeff s^(C-j) D^(B-j).
 
-    Yields (j, coefficient) with D^b s^c = sum_j C(b,j) c^(falling j)
-    s^(c-j) D^(b-j); for c >= 0 the falling factorial truncates the sum.
+    Per axis D^b s^c = sum_j C(b,j) c^(falling j) s^(c-j) D^(b-j); for
+    c >= 0 the falling factorial truncates the sum.
     """
-    for j in range(b + 1):
-        f = _falling(c, j)
-        if f:
-            yield j, comb(b, j) * f
+    parts = [((), 1)]
+    for b, c in zip(B, C):
+        parts = [(j + (jx,), cf * comb(b, jx) * f) for j, cf in parts
+                 for jx in range(b + 1) if (f := _falling(c, jx))]
+    return tuple(parts)
+
+
+def _integer_terms(op: WeylOp):
+    """(den, [(A, B, [(h power, integer numerator over den)])]), den the
+    lcm of the scalar denominators."""
+    den = lcm(*(c.denominator for hp in op.terms.values() for c in hp.values()))
+    return den, [(A, B, [(k, c.numerator * (den // c.denominator)) for k, c in hp.items()])
+                 for (A, B), hp in op.terms.items()]
 
 
 def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
-    """Operator product lhs o rhs in canonical normal order."""
+    """Operator product lhs o rhs in canonical normal order.
+
+    The products accumulate as integers over the common denominator of
+    each operand; each output scalar is divided once, as a Fraction."""
     lhs._check(rhs)
-    d = lhs.dim
-    out: dict[tuple[Mono, Mono], HPoly] = {}
-    for (A, B), ca in lhs.terms.items():
-        for (C, D), cb in rhs.terms.items():
-            base = _hp_mul(ca, cb)
-            if not base:
-                continue
-            # distribute D^B across s^C axis by axis
-            parts = [(tuple(), 1)]
-            for ax in range(d):
-                if B[ax] == 0 or C[ax] == 0:
-                    parts = [(j + (0,), c) for j, c in parts]
-                    continue
-                new = []
-                for j, c in parts:
-                    for jx, cx in _leibniz_axis(B[ax], C[ax]):
-                        new.append((j + (jx,), c * cx))
-                parts = new
-            for jvec, cf in parts:
-                smon = tuple(A[i] + C[i] - jvec[i] for i in range(d))
-                dmon = tuple(B[i] - jvec[i] + D[i] for i in range(d))
-                key = (smon, dmon)
-                hp = _hp_scale(base, Fraction(cf)) if cf != 1 else base
-                merged = _hp_add(out.get(key, {}), hp)
-                if merged:
-                    out[key] = merged
-                else:
-                    out.pop(key, None)
-    return WeylOp(d, out)
+    dl, left = _integer_terms(lhs)
+    dr, right = _integer_terms(rhs)
+    acc: dict[tuple[Mono, Mono], dict[int, int]] = {}
+    for A, B, ca in left:
+        for C, D, cb in right:
+            base = [(i + j, u * v) for i, u in ca for j, v in cb]
+            AC = tuple(map(add, A, C))
+            BD = tuple(map(add, B, D))
+            for jvec, cf in _leibniz(B, C):
+                hp = acc.setdefault((tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec))), {})
+                for k, n in base:
+                    hp[k] = hp.get(k, 0) + cf * n
+    den = dl * dr
+    out = {}
+    for key, hp in acc.items():
+        hp = {k: Fraction(n, den) for k, n in hp.items() if n}
+        if hp:
+            out[key] = hp
+    return WeylOp(lhs.dim, out)
 
 
 def commutator(lhs: WeylOp, rhs: WeylOp) -> WeylOp:

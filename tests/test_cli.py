@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -145,3 +148,18 @@ class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+
+def test_cli_import_loads_no_numerics():
+    # numpy and scipy load on first use of a specsolver name, not on import
+    code = ("import sys, pseudosphere.cli\n"
+            "assert not {'numpy', 'scipy'} & set(sys.modules), sorted(sys.modules)\n"
+            "from pseudosphere import pde_spectrum, GridSpec\n"
+            "assert GridSpec.__module__ == 'pseudosphere.specsolver' and callable(pde_spectrum)\n"
+            "assert 'scipy' in sys.modules\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from pseudosphere.weylops import (
     vanishes_mod_constraint,
 )
 from pseudosphere.model import (
+    MIN_DIMENSION,
     ModelParams,
     RELATION_FAMILIES,
     NoLinearRelation,
@@ -127,6 +128,16 @@ class TestRelations:
             rep = verify_relation(fam, default_indices(fam, d), m,
                                   random_params(rng, d))
             assert rep.passed, fam
+
+    @pytest.mark.parametrize("fam", RELATION_FAMILIES)
+    def test_default_indices_at_minimum_dimension(self, fam):
+        need = MIN_DIMENSION[fam]
+        assert default_indices(fam, need) == tuple(range(need))
+        assert default_indices(fam, need) in admissible_tuples(fam, need)
+        assert admissible_tuples(fam, need - 1) == []
+        with pytest.raises(ValueError,
+                           match=f"family {fam} needs dimension >= {need}$"):
+            default_indices(fam, need - 1)
 
     def test_qc_adjacent_d4_mixed_signature(self):
         rng = random.Random(43)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from pseudosphere.weylops import (
     lp_eval,
     reduce_mod_constraint,
     vanishes_mod_constraint,
+    _falling,
     _hp_add,
     _hp_scale,
 )
@@ -238,6 +240,107 @@ class TestLevelwiseNormalForm:
         elt = compose(_quadric_plus_one(metric), data.draw(pivot_heavy_ops(metric.dim)))
         assert vanishes_mod_constraint(elt, metric)
         assert not vanishes_mod_constraint(elt + WeylOp.const(metric.dim, 1), metric)
+
+
+def _hp_mul(a, b):
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            k = i + j
+            w = out.get(k, F(0)) + u * v
+            if w:
+                out[k] = w
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _leibniz_axis(b, c):
+    """Nonzero contributions of D^b composed with s^c along one axis.
+
+    Yields (j, coefficient) with D^b s^c = sum_j C(b,j) c^(falling j)
+    s^(c-j) D^(b-j); for c >= 0 the falling factorial truncates the sum.
+    """
+    for j in range(b + 1):
+        f = _falling(c, j)
+        if f:
+            yield j, comb(b, j) * f
+
+
+def reference_compose(lhs, rhs):
+    """Fraction arithmetic throughout, Leibniz expansion rebuilt axis by
+    axis for every term pair: kept as the oracle for the integer-numerator
+    compose."""
+    lhs._check(rhs)
+    d = lhs.dim
+    out = {}
+    for (A, B), ca in lhs.terms.items():
+        for (C, D), cb in rhs.terms.items():
+            base = _hp_mul(ca, cb)
+            if not base:
+                continue
+            # distribute D^B across s^C axis by axis
+            parts = [(tuple(), 1)]
+            for ax in range(d):
+                if B[ax] == 0 or C[ax] == 0:
+                    parts = [(j + (0,), c) for j, c in parts]
+                    continue
+                new = []
+                for j, c in parts:
+                    for jx, cx in _leibniz_axis(B[ax], C[ax]):
+                        new.append((j + (jx,), c * cx))
+                parts = new
+            for jvec, cf in parts:
+                smon = tuple(A[i] + C[i] - jvec[i] for i in range(d))
+                dmon = tuple(B[i] - jvec[i] + D[i] for i in range(d))
+                key = (smon, dmon)
+                hp = _hp_scale(base, F(cf)) if cf != 1 else base
+                merged = _hp_add(out.get(key, {}), hp)
+                if merged:
+                    out[key] = merged
+                else:
+                    out.pop(key, None)
+    return WeylOp(d, out)
+
+
+@st.composite
+def dense_ops(draw, dim):
+    """Canonical operators with multi-term h-polynomials (h powers 0..3),
+    denominators 1..6, s exponents -4..4 and D exponents 0..3."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = (tuple(draw(st.integers(-4, 4)) for _ in range(dim)),
+               tuple(draw(st.integers(0, 3)) for _ in range(dim)))
+        terms[key] = {k: F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 6)))
+                      for k in draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))}
+    return WeylOp(dim, terms)
+
+
+def assert_canonical(op):
+    for hp in op.terms.values():
+        assert hp
+        assert all(type(c) is F and c for c in hp.values())
+
+
+class TestComposeOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_matches_reference_compose(self, data, dim):
+        X = data.draw(dense_ops(dim))
+        Y = data.draw(dense_ops(dim))
+        got = compose(X, Y)
+        assert got == reference_compose(X, Y)
+        assert_canonical(got)
+
+    def test_cancelling_products(self):
+        # (s1 D1 + 1) s1^-1 = D1: the s1^-1 terms cancel
+        X = compose(s(0), D(0)) + WeylOp.const(3, 1)
+        assert compose(X, s(0, -1)) == D(0) == reference_compose(X, s(0, -1))
+        # a zero operand, or an explicit zero scalar, composes to zero
+        zero_scalar = WeylOp(3, {((1, 0, 0), (0, 1, 0)): {0: F(0)}})
+        for Y in (WeylOp.zero(3), zero_scalar):
+            assert compose(X, Y).terms == {} == compose(Y, X).terms
+            assert reference_compose(X, Y).terms == {}
 
 
 def _constraint_points():
