@@ -16,7 +16,7 @@ from pseudosphere.phase import (
     verify_classical_relation,
     correspondence_check,
 )
-from pseudosphere.model import default_indices
+from pseudosphere.model import MIN_DIMENSION, default_indices
 
 
 def main():
@@ -38,9 +38,8 @@ def main():
     print("=" * 70)
     print("2. The classical relation table")
     print("=" * 70)
-    dims = {"symmetry": 3, "qq_c": 3, "qc_adjacent": 3, "qc_disjoint": 4,
-            "cc_share2": 4, "cc_share1": 5, "cc_disjoint": 6}
-    for family, d in dims.items():
+    for family, need in MIN_DIMENSION.items():
+        d = max(3, need)
         m = Metric((1,) * (d - 1) + (-1,))
         p = ModelParams.from_a(tuple(F(k + 2, 2 * k + 3) for k in range(d)))
         r = verify_classical_relation(family, default_indices(family, d), m, p)

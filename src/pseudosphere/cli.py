@@ -19,6 +19,7 @@ from multiprocessing import get_context
 from . import __version__
 from .weylops import Metric
 from .model import (
+    MIN_DIMENSION,
     ModelParams,
     RELATION_FAMILIES,
     default_indices,
@@ -56,7 +57,6 @@ DEFAULT_MANIFEST = {
         {"l": ["1/2", "1/2", "13/2"]},
     ],
     "relations": list(RELATION_FAMILIES),
-    "options": {"reduce_mod_constraint": True, "hbar": "formal"},
 }
 
 
@@ -73,9 +73,35 @@ def _manifest_params(manifest):
     for entry in manifest.get("params", []):
         if "l" in entry:
             out.append(ModelParams.from_l(tuple(Fraction(x) for x in entry["l"])))
-        else:
+        elif "a" in entry:
             out.append(ModelParams.from_a(tuple(Fraction(x) for x in entry["a"])))
+        else:
+            raise ValueError(f"params entry {entry} has neither 'a' nor 'l'")
     return out
+
+
+def _relation_jobs(manifest, job):
+    """(dim, metrics, params, jobs) of a manifest: one (job, family,
+    indices, signature, a) task per family the dimension admits, signature
+    and params vector.  Raises ValueError on an invalid manifest."""
+    dim = manifest.get("dim", 3)
+    if not isinstance(dim, int):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    metrics = _manifest_metrics(manifest)
+    params = _manifest_params(manifest)
+    for kind, vec in ([("signature", m.diag) for m in metrics]
+                      + [("params a =", p.a) for p in params]):
+        if len(vec) != dim:
+            raise ValueError(f"{kind} ({', '.join(map(str, vec))}) has {len(vec)} "
+                             f"entries, the manifest's dim is {dim}")
+    families = manifest.get("relations", RELATION_FAMILIES)
+    for fam in families:
+        if fam not in MIN_DIMENSION:
+            raise ValueError(f"unknown relation family {fam!r}")
+    jobs = [(job, fam, default_indices(fam, dim), metric.diag, p.a)
+            for fam in families if MIN_DIMENSION[fam] <= dim
+            for metric in metrics for p in params]
+    return dim, metrics, params, jobs
 
 
 def _load_manifest(path):
@@ -118,24 +144,12 @@ def _quantum_job(family, idx, diag, a):
 
 
 def cmd_verify_algebra(args):
-    manifest = _load_manifest(args.manifest)
-    metrics = _manifest_metrics(manifest)
-    params = _manifest_params(manifest)
-    dim = manifest.get("dim", 3)
-    families = [f for f in manifest.get("relations", RELATION_FAMILIES)]
-    jobs = []
-    for fam in families:
-        try:
-            idx = default_indices(fam, dim)
-        except ValueError:
-            continue  # family needs a higher dimension than the manifest's
-        for metric in metrics:
-            for p in params:
-                jobs.append((_quantum_job, fam, idx, metric.diag, p.a))
+    dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
+                                                _quantum_job)
     records = _map_jobs(jobs, args.jobs)
     # the discovered linear relation, per signature, on the first params
     rels = []
-    if params:
+    if params and dim >= 3:  # the linear relation needs three coordinates
         for metric in metrics:
             rel = discover_linear_relation(metric, params[0])
             rels.append({"signature": list(metric.diag),
@@ -169,19 +183,8 @@ def _correspondence_job(diag, a):
 
 
 def cmd_classical_check(args):
-    manifest = _load_manifest(args.manifest)
-    metrics = _manifest_metrics(manifest)
-    params = _manifest_params(manifest)
-    dim = manifest.get("dim", 3)
-    jobs = []
-    for fam in manifest.get("relations", RELATION_FAMILIES):
-        try:
-            idx = default_indices(fam, dim)
-        except ValueError:
-            continue
-        for metric in metrics:
-            for p in params:
-                jobs.append((_classical_job, fam, idx, metric.diag, p.a))
+    _, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
+                                              _classical_job)
     for metric in metrics:
         for p in params:
             jobs.append((_correspondence_job, metric.diag, p.a))

@@ -14,13 +14,14 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .weylops import (
     Metric,
     NotDivisible,
     WeylOp,
     _pivot_shift,
-    anticommutator,
     commutator,
     compose,
     divide_by_hbar,
@@ -34,6 +35,7 @@ __all__ = [
     "ModelParams",
     "LinearRelation",
     "RelationReport",
+    "RELATIONS",
     "RELATION_FAMILIES",
     "MIN_DIMENSION",
     "build_J",
@@ -85,21 +87,43 @@ def build_J(metric: Metric, i: int, j: int) -> WeylOp:
     return out.scale_h(1)
 
 
-def build_H(metric: Metric, params: ModelParams) -> WeylOp:
-    """H = 1/2 sum_{k,l} g_kk g_ll J_kl^2 + sum_i g_ii a_i / s_i^2."""
+def _hamiltonian(ring, J, metric: Metric, params: ModelParams):
+    """H over the ring of the rotation generators J(metric, k, l)."""
     d = metric.dim
     if params.dim != d:
         raise ValueError("parameter vector length does not match metric")
     g = metric.diag
-    H = WeylOp.zero(d)
+    H = ring.zero(d)
     for k in range(d):
         for l in range(k + 1, d):
-            J = build_J(metric, k, l)
-            H += compose(J, J).scale(g[k] * g[l])
+            Jkl = J(metric, k, l)
+            H += (Jkl * Jkl).scale(g[k] * g[l])
     for i in range(d):
         if params.a[i]:
-            H += WeylOp.coord(d, i, -2).scale(Fraction(g[i]) * params.a[i])
+            H += ring.coord(d, i, -2).scale(Fraction(g[i]) * params.a[i])
     return H
+
+
+def _second_order(ring, J, metric: Metric, params: ModelParams, i: int, j: int):
+    """Q_ij over the ring of the rotation generators J(metric, i, j)."""
+    if i == j:
+        raise ValueError("Q requires two distinct indices")
+    d = metric.dim
+    gg = metric.diag[i] * metric.diag[j]
+    Jij = J(metric, i, j)
+    Q = (Jij * Jij).scale(-gg)
+    for (u, v) in ((i, j), (j, i)):
+        if params.a[u]:
+            mono = [0] * d
+            mono[u] = -2
+            mono[v] = 2
+            Q += ring.term(d, params.a[u] * gg, smon=tuple(mono))
+    return Q
+
+
+def build_H(metric: Metric, params: ModelParams) -> WeylOp:
+    """H = 1/2 sum_{k,l} g_kk g_ll J_kl^2 + sum_i g_ii a_i / s_i^2."""
+    return _hamiltonian(WeylOp, build_J, metric, params)
 
 
 def build_Q(metric: Metric, params: ModelParams, i: int, j: int) -> WeylOp:
@@ -107,20 +131,7 @@ def build_Q(metric: Metric, params: ModelParams, i: int, j: int) -> WeylOp:
 
     Q_ij = -g_ii g_jj J_ij^2 + g_ii g_jj (a_i s_j^2/s_i^2 + a_j s_i^2/s_j^2).
     """
-    if i == j:
-        raise ValueError("Q requires two distinct indices")
-    d = metric.dim
-    g = metric.diag
-    J = build_J(metric, i, j)
-    gg = g[i] * g[j]
-    Q = compose(J, J).scale(-gg)
-    for (u, v) in ((i, j), (j, i)):
-        if params.a[u]:
-            mono = [0] * d
-            mono[u] = -2
-            mono[v] = 2
-            Q += WeylOp.term(d, params.a[u] * gg, smon=tuple(mono))
-    return Q
+    return _second_order(WeylOp, build_J, metric, params, i, j)
 
 
 def build_C(metric: Metric, params: ModelParams, i: int, j: int, k: int) -> WeylOp:
@@ -135,39 +146,48 @@ def build_C(metric: Metric, params: ModelParams, i: int, j: int, k: int) -> Weyl
 # ---------------------------------------------------------------------------
 # relation families
 
-RELATION_FAMILIES = (
-    "symmetry",      # [H, Q_ij] = 0
-    "qq_c",          # [Q_ij, Q_ik] = h C_ijk (divisibility check)
-    "qc_adjacent",   # [Q_jk, C_ijk], 3 indices
-    "qc_disjoint",   # [Q_kl, C_ijk], 4 indices
-    "cc_share2",     # [C_ijk, C_jkl], 4 indices
-    "cc_share1",     # [C_ijk, C_klm], 5 indices
-    "cc_disjoint",   # [C_ijk, C_lmn] = 0, 6 indices
-)
-
-# Measured orientation of each relation family relative to the published
-# structure-constant table: -1 means the whole right-hand side is negated;
-# for the two C-C families the leading product term keeps its published
-# sign (only the remaining terms flip).  These were determined by exact
-# linear solves, are identical across signatures and parameter sets, and
-# the classical Poisson-bracket algebra reproduces the same orientation.
-CONVENTION_TABLE = {
-    "qc_adjacent": {"global_sign": -1, "leading_term_flipped": False},
-    "qc_disjoint": {"global_sign": -1, "leading_term_flipped": False},
-    "cc_share2": {"global_sign": -1, "leading_term_flipped": True},
-    "cc_share1": {"global_sign": -1, "leading_term_flipped": True},
-    "cc_disjoint": {"global_sign": 1, "leading_term_flipped": False},
+# family: (arity, (x, y), RHS) for the relation [x, y] = h RHS of the
+# operator algebra; the classical relation is {x, y} = RHS with the terms
+# carrying h dropped.  A generator is "H", "Q" or "C" followed by the
+# positions in the index tuple of its indices ("C013" is C at idx[0],
+# idx[1], idx[3]); an RHS term (c, p, e, word) is c a_idx[p] h^e times the
+# product of the word's generators, left to right, with no a factor when p
+# is None and 1 for the empty word.
+#
+# The right-hand sides are the measured structure constants, obtained by
+# exact linear solves over the operator term basis; they are the same for
+# every signature and parameter set, and the classical Poisson algebra has
+# the same orientation.  Relative to the published table, qc_adjacent,
+# qc_disjoint, cc_share2 and cc_share1 carry a global sign -1, except that
+# the leading product term of each C-C relation keeps its published sign;
+# cc_disjoint agrees with it.
+RELATIONS = {
+    "symmetry": (2, ("H", "Q01"), ()),
+    # C is defined by the divisibility [Q_ij, Q_ik] = h C_ijk
+    "qq_c": (3, ("Q01", "Q02"), ((1, None, 0, ("C012",)),)),
+    "qc_adjacent": (3, ("Q12", "C012"), (
+        (-8, None, 0, ("Q02", "Q12")), (8, None, 0, ("Q12", "Q01")),
+        (-16, 1, 0, ("Q02",)), (8, None, 2, ("Q02",)),
+        (16, 2, 0, ("Q01",)), (-8, None, 2, ("Q01",)),
+        (-8, 1, 2, ()), (8, 2, 2, ()))),
+    "qc_disjoint": (4, ("Q23", "C012"), (
+        (-8, None, 0, ("Q02", "Q13")), (8, None, 0, ("Q03", "Q12")),
+        (-4, None, 2, ("Q02",)), (-4, None, 2, ("Q13",)),
+        (4, None, 2, ("Q03",)), (4, None, 2, ("Q12",)))),
+    "cc_share2": (4, ("C012", "C123"), (
+        (-8, None, 0, ("C123", "Q01")), (8, None, 0, ("C023", "Q12")),
+        (8, None, 0, ("C012", "Q13")),
+        (-4, None, 2, ("C123",)), (4, None, 2, ("C012",)),
+        (-8, None, 2, ("C023",)), (16, 1, 0, ("C023",)))),
+    "cc_share1": (5, ("C012", "C234"), (
+        (-8, None, 0, ("C034", "Q12")), (8, None, 0, ("Q02", "C134")),
+        (-4, None, 2, ("C034",)), (4, None, 2, ("C134",)))),
+    "cc_disjoint": (6, ("C012", "C345"), ()),
 }
 
-MIN_DIMENSION = {
-    "symmetry": 2,
-    "qq_c": 3,
-    "qc_adjacent": 3,
-    "qc_disjoint": 4,
-    "cc_share2": 4,
-    "cc_share1": 5,
-    "cc_disjoint": 6,
-}
+RELATION_FAMILIES = tuple(RELATIONS)
+
+MIN_DIMENSION = {family: arity for family, (arity, _, _) in RELATIONS.items()}
 
 
 @dataclass
@@ -182,81 +202,50 @@ class RelationReport:
     elapsed_ms: float = 0.0
 
 
+def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
+                    params: ModelParams, builders: dict, bracket, quantum: bool):
+    """[x, y] - h RHS (quantum, h formal) or {x, y} - RHS at h = 0 for the
+    RELATIONS entry of family, over the ring of ``builders`` (generator
+    letter -> builder(metric, params, *indices)) and ``bracket``."""
+    if family not in RELATIONS:
+        raise ValueError(f"unknown relation family {family!r}")
+    arity, (x, y), rhs = RELATIONS[family]
+    if len(idx) != arity:
+        raise ValueError(f"family {family} takes {arity} indices, got {len(idx)}")
+    gens = {}
+
+    def gen(name):
+        if name not in gens:
+            gens[name] = builders[name[0]](metric, params,
+                                           *(idx[int(p)] for p in name[1:]))
+        return gens[name]
+
+    lhs = bracket(gen(x), gen(y))
+    total = lhs.zero(metric.dim)
+    for c, p, e, word in rhs:
+        if e and not quantum:
+            continue
+        term = reduce(mul, map(gen, word)) if word else lhs.term(metric.dim, 1)
+        term = term.scale(c if p is None else c * params.a[idx[p]])
+        total += term.scale_h(e + 1) if quantum else term
+    return lhs - total
+
+
 def _relation_residual(family: str, idx: tuple[int, ...], metric: Metric,
                        params: ModelParams) -> WeylOp:
     """LHS - RHS of the cited relation, with h kept formal."""
-    d = metric.dim
-    a = params.a
-    Q = lambda i, j: build_Q(metric, params, i, j)
-    C = lambda i, j, k: build_C(metric, params, i, j, k)
-    h2 = lambda X: X.scale_h(2)
+    return _table_residual(family, idx, metric, params,
+                           {"H": build_H, "Q": build_Q, "C": build_C},
+                           commutator, quantum=True)
 
-    if family == "symmetry":
-        (i, j) = idx
-        return commutator(build_H(metric, params), Q(i, j))
 
-    if family == "qq_c":
-        (i, j, k) = idx
-        # C is defined through the divisibility; residual is zero when
-        # divide_by_hbar succeeds and the product reassembles.
-        return commutator(Q(i, j), Q(i, k)) - C(i, j, k).scale_h(1)
-
-    # The right-hand sides below are the measured structure constants,
-    # obtained by an exact linear solve over the operator term basis (see
-    # CONVENTION_TABLE): relative to the published table the quadratic
-    # algebra carries a global -1, and the leading term of each C-C
-    # relation keeps the published sign.
-
-    if family == "qc_adjacent":
-        (i, j, k) = idx
-        lhs = commutator(Q(j, k), C(i, j, k))
-        rhs = (
-            compose(Q(i, k), Q(j, k)).scale(-8)
-            + compose(Q(j, k), Q(i, j)).scale(8)
-            - Q(i, k).scale(16 * a[j]) + h2(Q(i, k)).scale(8)
-            + Q(i, j).scale(16 * a[k]) - h2(Q(i, j)).scale(8)
-            - WeylOp.const(d, (a[j] - a[k]) * 8, hpow=2)
-        ).scale_h(1)
-        return lhs - rhs
-
-    if family == "qc_disjoint":
-        (i, j, k, l) = idx
-        lhs = commutator(Q(k, l), C(i, j, k))
-        rhs = (
-            compose(Q(i, k), Q(j, l)).scale(-8)
-            + compose(Q(i, l), Q(j, k)).scale(8)
-            - h2(Q(i, k)).scale(4) - h2(Q(j, l)).scale(4)
-            + h2(Q(i, l)).scale(4) + h2(Q(j, k)).scale(4)
-        ).scale_h(1)
-        return lhs - rhs
-
-    if family == "cc_share2":
-        (i, j, k, l) = idx
-        lhs = commutator(C(i, j, k), C(j, k, l))
-        rhs = (
-            compose(C(j, k, l), Q(i, j)).scale(-8)
-            + compose(C(i, k, l), Q(j, k)).scale(8)
-            + compose(C(i, j, k), Q(j, l)).scale(8)
-            - h2(C(j, k, l)).scale(4) + h2(C(i, j, k)).scale(4)
-            - h2(C(i, k, l)).scale(8) + C(i, k, l).scale(16 * a[j])
-        ).scale_h(1)
-        return lhs - rhs
-
-    if family == "cc_share1":
-        (i, j, k, l, m) = idx
-        lhs = commutator(C(i, j, k), C(k, l, m))
-        rhs = (
-            compose(C(i, l, m), Q(j, k)).scale(-8)
-            + compose(Q(i, k), C(j, l, m)).scale(8)
-            - h2(C(i, l, m)).scale(4) + h2(C(j, l, m)).scale(4)
-        ).scale_h(1)
-        return lhs - rhs
-
-    if family == "cc_disjoint":
-        (i, j, k, l, m, n) = idx
-        return commutator(C(i, j, k), C(l, m, n))
-
-    raise ValueError(f"unknown relation family {family!r}")
+def _closes(residual, metric: Metric, vanishes) -> tuple[bool, bool]:
+    """(passed, reduced): the residual is zero in the ambient ring, else
+    ``vanishes(residual, metric)`` modulo the quadric."""
+    if residual.is_zero():
+        return True, False
+    passed = vanishes(residual, metric)
+    return passed, passed
 
 
 def verify_relation(family: str, indices, metric: Metric,
@@ -264,19 +253,14 @@ def verify_relation(family: str, indices, metric: Metric,
     """Check one relation; failure is data, not an exception."""
     t0 = time.perf_counter()
     idx = tuple(indices)
-    reduced = False
     try:
         residual = _relation_residual(family, idx, metric, params)
     except NotDivisible:
         return RelationReport(family, idx, metric.diag, params.a, False, False, -1,
                               (time.perf_counter() - t0) * 1e3)
-    passed = residual.is_zero()
-    if not passed:
-        reduced = True
-        passed = vanishes_mod_constraint(residual, metric)
+    passed, reduced = _closes(residual, metric, vanishes_mod_constraint)
     return RelationReport(
-        family, idx, metric.diag, params.a,
-        passed, reduced and passed,
+        family, idx, metric.diag, params.a, passed, reduced,
         0 if passed else len(residual.terms), (time.perf_counter() - t0) * 1e3,
     )
 
@@ -290,18 +274,12 @@ def default_indices(family: str, dim: int) -> tuple[int, ...]:
 
 
 def admissible_tuples(family: str, dim: int):
-    """All index tuples the family accepts at this dimension."""
-    if family == "symmetry":
-        return [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    if family in ("qq_c", "qc_adjacent"):
-        return [t for t in itertools.permutations(range(dim), 3)]
-    if family in ("qc_disjoint", "cc_share2"):
-        return [t for t in itertools.permutations(range(dim), 4)]
-    if family == "cc_share1":
-        return [t for t in itertools.permutations(range(dim), 5)]
-    if family == "cc_disjoint":
-        return [t for t in itertools.permutations(range(dim), 6)]
-    raise ValueError(f"unknown relation family {family!r}")
+    """All index tuples the family accepts at this dimension (Q_ij is
+    symmetric, so symmetry takes i < j)."""
+    if family not in RELATIONS:
+        raise ValueError(f"unknown relation family {family!r}")
+    pick = itertools.combinations if family == "symmetry" else itertools.permutations
+    return list(pick(range(dim), MIN_DIMENSION[family]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,30 +10,23 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, mul
 
-from .weylops import Metric, WeylOp, _pivot_shift, _reduce_terms
-from .model import ModelParams
+from .weylops import Metric, TermDict, WeylOp, _pivot_shift, _reduce
+from .model import ModelParams, _closes, _hamiltonian, _second_order, _table_residual
 
 Mono = tuple[int, ...]
 
 _ZERO = Fraction(0)
 
 
-class PhasePoly:
+class PhasePoly(TermDict):
     """terms: (s exponents, p exponents) -> rational coefficient.
 
     s exponents may be negative (Laurent), p exponents are >= 0.
-    Values are immutable by convention; arithmetic returns new objects.
     """
 
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: dict[tuple[Mono, Mono], Fraction] | None = None):
-        self.dim = dim
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim)
+    __slots__ = ()
+    _add = staticmethod(add)
+    _scale = staticmethod(mul)
 
     @classmethod
     def term(cls, dim, coeff, smon: Mono = None, pmon: Mono = None) -> "PhasePoly":
@@ -47,20 +40,8 @@ class PhasePoly:
         return cls(dim, {(A, B): c})
 
     @classmethod
-    def coord(cls, dim, i, power=1):
-        return cls.term(dim, 1, smon=tuple(power if k == i else 0 for k in range(dim)))
-
-    @classmethod
     def momentum(cls, dim, i, power=1):
         return cls.term(dim, 1, pmon=tuple(power if k == i else 0 for k in range(dim)))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PhasePoly):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted(self.terms.items()))))
@@ -74,33 +55,6 @@ class PhasePoly:
             pm = "".join(f"*p{i + 1}^{e}" for i, e in enumerate(B) if e)
             bits.append(f"({c}){sm}{pm}")
         return "PhasePoly[" + " + ".join(bits) + "]"
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension {self.dim} != {other.dim}")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            w = out.get(key, _ZERO) + c
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-        return PhasePoly(self.dim, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return PhasePoly(self.dim)
-        return PhasePoly(self.dim, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, PhasePoly):
@@ -117,9 +71,6 @@ class PhasePoly:
                 else:
                     out.pop(key, None)
         return PhasePoly(self.dim, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def diff_s(self, i) -> "PhasePoly":
         out = {}
@@ -152,7 +103,7 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 
 def reduce_mod_constraint_cl(f: PhasePoly, metric: Metric) -> PhasePoly:
     """Rewrite s_d^2 via the quadric, as in the operator kernel."""
-    return PhasePoly(f.dim, _reduce_terms(f.terms, f.dim, metric, mul, add))
+    return _reduce(f, metric)
 
 
 def vanishes_mod_constraint_cl(f: PhasePoly, metric: Metric) -> bool:
@@ -172,33 +123,11 @@ def build_J_cl(metric: Metric, i, j) -> PhasePoly:
 
 
 def build_H_cl(metric: Metric, params: ModelParams) -> PhasePoly:
-    d = metric.dim
-    g = metric.diag
-    H = PhasePoly.zero(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            J = build_J_cl(metric, i, j)
-            H += (J * J).scale(g[i] * g[j])
-    for i in range(d):
-        if params.a[i]:
-            H += PhasePoly.coord(d, i, -2).scale(Fraction(g[i]) * params.a[i])
-    return H
+    return _hamiltonian(PhasePoly, build_J_cl, metric, params)
 
 
 def build_Q_cl(metric: Metric, params: ModelParams, i, j) -> PhasePoly:
-    if i == j:
-        raise ValueError("Q requires two distinct indices")
-    d = metric.dim
-    gg = metric.diag[i] * metric.diag[j]
-    J = build_J_cl(metric, i, j)
-    Q = (J * J).scale(-gg)
-    for (u, v) in ((i, j), (j, i)):
-        if params.a[u]:
-            mono = [0] * d
-            mono[u] = -2
-            mono[v] = 2
-            Q += PhasePoly.term(d, params.a[u] * gg, smon=tuple(mono))
-    return Q
+    return _second_order(PhasePoly, build_J_cl, metric, params, i, j)
 
 
 def build_C_cl(metric: Metric, params: ModelParams, i, j, k) -> PhasePoly:
@@ -224,56 +153,19 @@ def build_classical_model(metric: Metric, params: ModelParams) -> dict:
 
 def classical_relation_residual(family: str, idx, metric: Metric,
                                 params: ModelParams) -> PhasePoly:
-    """LHS - RHS of the classical bracket relation (same measured
-    orientation as the quantum table; products commute here)."""
-    a = params.a
-    Q = lambda i, j: build_Q_cl(metric, params, i, j)
-    C = lambda i, j, k: build_C_cl(metric, params, i, j, k)
-
-    if family == "symmetry":
-        (i, j) = idx
-        return poisson_bracket(build_H_cl(metric, params), Q(i, j))
-    if family == "qq_c":
-        (i, j, k) = idx
-        return poisson_bracket(Q(i, j), Q(i, k)) - C(i, j, k)
-    if family == "qc_adjacent":
-        (i, j, k) = idx
-        lhs = poisson_bracket(Q(j, k), C(i, j, k))
-        rhs = (Q(i, k) * Q(j, k)).scale(-8) + (Q(j, k) * Q(i, j)).scale(8) \
-            - Q(i, k).scale(16 * a[j]) + Q(i, j).scale(16 * a[k])
-        return lhs - rhs
-    if family == "qc_disjoint":
-        (i, j, k, l) = idx
-        lhs = poisson_bracket(Q(k, l), C(i, j, k))
-        rhs = (Q(i, k) * Q(j, l)).scale(-8) + (Q(i, l) * Q(j, k)).scale(8)
-        return lhs - rhs
-    if family == "cc_share2":
-        (i, j, k, l) = idx
-        lhs = poisson_bracket(C(i, j, k), C(j, k, l))
-        rhs = (C(j, k, l) * Q(i, j)).scale(-8) + (C(i, k, l) * Q(j, k)).scale(8) \
-            + (C(i, j, k) * Q(j, l)).scale(8) + C(i, k, l).scale(16 * a[j])
-        return lhs - rhs
-    if family == "cc_share1":
-        (i, j, k, l, m) = idx
-        lhs = poisson_bracket(C(i, j, k), C(k, l, m))
-        rhs = (C(i, l, m) * Q(j, k)).scale(-8) + (Q(i, k) * C(j, l, m)).scale(8)
-        return lhs - rhs
-    if family == "cc_disjoint":
-        (i, j, k, l, m, n) = idx
-        return poisson_bracket(C(i, j, k), C(l, m, n))
-    raise ValueError(f"unknown relation family {family!r}")
+    """LHS - RHS of the classical bracket relation: the RELATIONS entry
+    at h = 0, with commuting products."""
+    return _table_residual(family, tuple(idx), metric, params,
+                           {"H": build_H_cl, "Q": build_Q_cl, "C": build_C_cl},
+                           poisson_bracket, quantum=False)
 
 
 def verify_classical_relation(family: str, idx, metric: Metric,
                               params: ModelParams) -> dict:
     residual = classical_relation_residual(family, tuple(idx), metric, params)
-    passed = residual.is_zero()
-    reduced = False
-    if not passed:
-        reduced = True
-        passed = vanishes_mod_constraint_cl(residual, metric)
+    passed, reduced = _closes(residual, metric, vanishes_mod_constraint_cl)
     return {"family": family, "indices": tuple(idx), "passed": passed,
-            "reduced": reduced and passed,
+            "reduced": reduced,
             "residual_terms": 0 if passed else len(residual.terms)}
 
 

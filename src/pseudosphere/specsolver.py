@@ -9,7 +9,7 @@ as the physics-side numerical oracle for the algebraic spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -92,25 +92,81 @@ class Metric:
         return (plus, len(self.diag) - plus)
 
 
-class WeylOp:
-    """A normal-ordered differential operator with exact coefficients.
+class TermDict:
+    """Sparse map (coordinate exponents, second exponents) -> scalar.
 
-    ``terms`` maps (coordinate exponents, derivative exponents) to the
-    scalar polynomial in h.  Instances are treated as immutable values;
-    all arithmetic returns new operators.
+    The base of ``WeylOp`` and ``phase.PhasePoly``: the linear arithmetic
+    over a scalar ring given by ``_add(c, c2)`` and ``_scale(c, rational)``,
+    with zero scalars falsy and pruned.  Instances are treated as
+    immutable values; all arithmetic returns new objects.
     """
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: dict[tuple[Mono, Mono], HPoly] | None = None):
+    def __init__(self, dim: int, terms: dict | None = None):
         self.dim = dim
         self.terms = {} if terms is None else terms
 
-    # -- constructors -------------------------------------------------------
+    @classmethod
+    def zero(cls, dim: int):
+        return cls(dim)
 
     @classmethod
-    def zero(cls, dim: int) -> "WeylOp":
-        return cls(dim)
+    def coord(cls, dim: int, i: int, power: int = 1):
+        return cls.term(dim, 1, smon=tuple(power if k == i else 0 for k in range(dim)))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def _check(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dimension {self.dim} != {other.dim}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            old = out.get(key)
+            new = c if old is None else self._add(old, c)
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+        return type(self)(self.dim, out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return type(self)(self.dim)
+        return type(self)(self.dim, {k: self._scale(v, c) for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+
+class WeylOp(TermDict):
+    """A normal-ordered differential operator with exact coefficients.
+
+    ``terms`` maps (coordinate exponents, derivative exponents) to the
+    scalar polynomial in h.
+    """
+
+    __slots__ = ()
+    _add = staticmethod(_hp_add)
+    _scale = staticmethod(_hp_scale)
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def term(cls, dim: int, coeff, smon: Mono = None, dmon: Mono = None,
@@ -129,24 +185,11 @@ class WeylOp:
         return cls.term(dim, coeff, hpow=hpow)
 
     @classmethod
-    def coord(cls, dim: int, i: int, power: int = 1) -> "WeylOp":
-        smon = tuple(power if k == i else 0 for k in range(dim))
-        return cls.term(dim, 1, smon=smon)
-
-    @classmethod
     def deriv(cls, dim: int, i: int, power: int = 1) -> "WeylOp":
         dmon = tuple(power if k == i else 0 for k in range(dim))
         return cls.term(dim, 1, dmon=dmon)
 
     # -- basic structure ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.dim, self.sorted_terms()))
@@ -171,34 +214,7 @@ class WeylOp:
             bits.append(f"({sc}){mono}{dmon}")
         return "WeylOp[" + " + ".join(bits) + "]"
 
-    def _check(self, other: "WeylOp"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimension {self.dim} != {other.dim}")
-
-    # -- linear arithmetic --------------------------------------------------
-
-    def __add__(self, other: "WeylOp") -> "WeylOp":
-        self._check(other)
-        out = dict(self.terms)
-        for key, hp in other.terms.items():
-            merged = _hp_add(out.get(key, {}), hp)
-            if merged:
-                out[key] = merged
-            else:
-                out.pop(key, None)
-        return WeylOp(self.dim, out)
-
-    def __neg__(self) -> "WeylOp":
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other: "WeylOp") -> "WeylOp":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylOp":
-        c = Fraction(c)
-        if not c:
-            return WeylOp(self.dim)
-        return WeylOp(self.dim, {k: _hp_scale(hp, c) for k, hp in self.terms.items()})
+    # -- arithmetic ---------------------------------------------------------
 
     def scale_h(self, hpow: int = 1) -> "WeylOp":
         """Multiply by h**hpow."""
@@ -209,9 +225,6 @@ class WeylOp:
     def __mul__(self, other):
         if isinstance(other, WeylOp):
             return compose(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def max_hdegree(self) -> int:
@@ -366,11 +379,12 @@ def _pivot_shift(keys, last: int) -> int:
     return 2 * ((-low + 1) // 2) if low < 0 else 0
 
 
-def _reduce_terms(terms: dict, d: int, metric: Metric, scale, add) -> dict:
-    """Normal form of a d-variable term dictionary modulo the quadric, over
-    the scalar ring of ``scale(c, rational)`` and ``add(c, c2)`` (zero falsy).
+def _reduce(op: TermDict, metric: Metric) -> TermDict:
+    """Normal form of op modulo the quadric, over its scalar ring.
     Level by level in the s_d exponent e, from the top: s_d^2 is replaced
     once and the images merge into level e - 2, so work is linear in e."""
+    d = op.dim
+    scale, add = op._scale, op._add
     if metric.dim != d:
         raise DimensionMismatch(f"metric dim {metric.dim} != {d}")
     last = d - 1
@@ -381,7 +395,7 @@ def _reduce_terms(terms: dict, d: int, metric: Metric, scale, add) -> dict:
         repl.append((tuple(2 if k == i else -2 if k == last else 0 for k in range(d)),
                      Fraction(-gdd * metric.diag[i])))
     levels: dict[int, dict] = {}
-    for key, c in terms.items():
+    for key, c in op.terms.items():
         levels.setdefault(key[0][last], {})[key] = c
     for e in range(max(levels, default=0), 1, -1):
         below = levels.setdefault(e - 2, {})
@@ -394,7 +408,7 @@ def _reduce_terms(terms: dict, d: int, metric: Metric, scale, add) -> dict:
                     below[key] = new
                 else:
                     below.pop(key, None)
-    return {key: c for bucket in levels.values() for key, c in bucket.items() if c}
+    return type(op)(d, {key: c for bucket in levels.values() for key, c in bucket.items() if c})
 
 
 def vanishes_mod_constraint(op: WeylOp, metric: Metric) -> bool:
@@ -417,4 +431,4 @@ def reduce_mod_constraint(op: WeylOp, metric: Metric) -> WeylOp:
     remain; coefficients stay exact and the result is idempotent.  With no
     negative s_d exponent it is the unique remainder modulo (q+1)·W.
     """
-    return WeylOp(op.dim, _reduce_terms(op.terms, op.dim, metric, _hp_scale, _hp_add))
+    return _reduce(op, metric)

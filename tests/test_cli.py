@@ -46,6 +46,42 @@ class TestVerifyAlgebra:
         assert run(["verify-algebra", "--manifest", str(bad)]) == 2
 
 
+    def test_dim2_manifest_runs_symmetry_only(self, tmp_path):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"dim": 2, "signatures": "all",
+                                     "params": [{"a": ["1/4", "-2/3"]}]}))
+        out = tmp_path / "r.json"
+        assert run(["verify-algebra", "--manifest", str(mpath),
+                    "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 4
+        assert all(r["family"] == "symmetry" and r["passed"] for r in records)
+
+
+INVALID_MANIFESTS = [
+    (dict(DEFAULT_MANIFEST, relations=["symmetry", "bogus"]),
+     "unknown relation family 'bogus'"),
+    (dict(DEFAULT_MANIFEST, signatures=[[1, 1, -1], [1, -1]]),
+     "signature (1, -1) has 2 entries, the manifest's dim is 3"),
+    (dict(DEFAULT_MANIFEST, params=[{"a": ["1", "2", "3", "4"]}]),
+     "params a = (1, 2, 3, 4) has 4 entries, the manifest's dim is 3"),
+    (dict(DEFAULT_MANIFEST, params=[{"b": ["1", "2", "3"]}]),
+     "params entry {'b': ['1', '2', '3']} has neither 'a' nor 'l'"),
+    (dict(DEFAULT_MANIFEST, dim="3"), "dim must be an integer, got '3'"),
+]
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "classical-check"])
+@pytest.mark.parametrize("manifest,message", INVALID_MANIFESTS)
+def test_invalid_manifest_exit_2(command, manifest, message, tmp_path, capsys):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest))
+    assert run([command, "--manifest", str(mpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"pseudosphere: {message}\n"
+    assert captured.out == ""
+
+
 class TestClassicalCheck:
     def test_default(self, tmp_path):
         out = tmp_path / "cl.json"

@@ -1,6 +1,7 @@
 """Generic model builders and the quantum relation table."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -15,8 +16,11 @@ from pseudosphere.weylops import (
     specialize_hbar,
     vanishes_mod_constraint,
 )
+from pseudosphere import model, phase
+from pseudosphere.phase import verify_classical_relation
 from pseudosphere.model import (
     MIN_DIMENSION,
+    RELATIONS,
     ModelParams,
     RELATION_FAMILIES,
     NoLinearRelation,
@@ -234,3 +238,86 @@ class TestMetricIndependence:
             3, ModelParams.from_a((1, 1, 1)), [Metric((1, 1, 1))],
             families=("symmetry",))
         assert rep["passed"]
+
+
+TABLE_TERMS = [(fam, n) for fam, (_, _, rhs) in RELATIONS.items()
+               for n in range(len(rhs))]
+
+
+class TestRelationTable:
+    @pytest.mark.parametrize("fam", RELATION_FAMILIES)
+    def test_non_identity_tuples(self, fam):
+        # a position/index mix-up in the table evaluator shows only away
+        # from the default tuple (0, 1, ...)
+        rng = random.Random(61)
+        d = max(MIN_DIMENSION[fam], 3)
+        m = Metric(tuple(rng.choice((1, -1)) for _ in range(d)))
+        p = ModelParams.from_a(tuple(F(rng.randint(1, 7), rng.randint(1, 5))
+                                     for _ in range(d)))
+        tuples = admissible_tuples(fam, d)
+        # the last tuple is the reversed one for every permutation family
+        for idx in (tuples[-1], rng.choice(tuples[1:])):
+            assert idx != default_indices(fam, d)
+            assert verify_relation(fam, idx, m, p).passed, idx
+            assert verify_classical_relation(fam, idx, m, p)["passed"], idx
+
+    @pytest.mark.parametrize("fam", RELATION_FAMILIES)
+    def test_generators_built_at_the_tuple(self, fam, monkeypatch):
+        # relations are covariant under relabelling, so a relation built at
+        # the wrong tuple can still pass: check the builders' arguments
+        built = set()
+        for mod, suffix in ((model, ""), (phase, "_cl")):
+            for letter in "HQC":
+                original = getattr(mod, f"build_{letter}{suffix}")
+
+                def record(metric, params, *ix, _letter=letter, _build=original):
+                    built.add((_letter,) + ix)
+                    return _build(metric, params, *ix)
+
+                monkeypatch.setattr(mod, f"build_{letter}{suffix}", record)
+        arity, (x, y), rhs = RELATIONS[fam]
+        d = max(arity, 3)
+        idx = admissible_tuples(fam, d)[-1]
+        names = {x, y} | {g for *_, word in rhs for g in word}
+        want = {(g[0],) + tuple(idx[int(pos)] for pos in g[1:]) for g in names}
+        m = Metric((1,) * d)
+        p = ModelParams.from_a(tuple(F(k + 1, 3) for k in range(d)))
+        for verify in (verify_relation, verify_classical_relation):
+            built.clear()
+            verify(fam, idx, m, p)
+            assert want <= built
+
+    @pytest.mark.parametrize("fam,n", TABLE_TERMS)
+    def test_every_term_is_load_bearing(self, fam, n, monkeypatch):
+        arity, lhs, rhs = RELATIONS[fam]
+        c, pos, e, word = rhs[n]
+        bumped = rhs[:n] + ((c + 1, pos, e, word),) + rhs[n + 1:]
+        monkeypatch.setitem(model.RELATIONS, fam, (arity, lhs, bumped))
+        m = Metric((1,) * (arity - 1) + (-1,))
+        p = ModelParams.from_a(tuple(F(k + 2, 2 * k + 3) for k in range(arity)))
+        idx = default_indices(fam, arity)
+        assert not verify_relation(fam, idx, m, p).passed
+        if e == 0:
+            assert not verify_classical_relation(fam, idx, m, p)["passed"]
+
+    @pytest.mark.parametrize("fam", RELATION_FAMILIES)
+    def test_admissible_tuple_counts(self, fam):
+        k = MIN_DIMENSION[fam]
+        for d in range(1, 7):
+            tuples = admissible_tuples(fam, d)
+            want = math.comb(d, 2) if fam == "symmetry" else math.perm(d, k)
+            assert len(tuples) == len(set(tuples)) == want
+            assert all(len(t) == k and len(set(t)) == k and max(t) < d
+                       for t in tuples)
+
+    def test_unknown_family_and_wrong_arity_raise(self):
+        m = Metric((1, 1, 1))
+        p = ModelParams.from_a((1, 2, 3))
+        for fam, idx in (("bogus", (0, 1)), ("qc_adjacent", (0, 1)),
+                         ("symmetry", (0, 1, 2))):
+            with pytest.raises(ValueError):
+                verify_relation(fam, idx, m, p)
+            with pytest.raises(ValueError):
+                verify_classical_relation(fam, idx, m, p)
+        with pytest.raises(ValueError):
+            admissible_tuples("bogus", 3)
