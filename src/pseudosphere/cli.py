@@ -23,8 +23,8 @@ from .model import (
     ModelParams,
     RELATION_FAMILIES,
     default_indices,
+    verify_metric_independence,
     verify_relation,
-    discover_linear_relation,
 )
 from .phase import verify_classical_relation, correspondence_check
 
@@ -89,6 +89,8 @@ def _relation_jobs(manifest, job):
         raise ValueError(f"dim must be an integer, got {dim!r}")
     metrics = _manifest_metrics(manifest)
     params = _manifest_params(manifest)
+    if not metrics or not params:
+        raise ValueError("the manifest lists no signature or no params vector")
     for kind, vec in ([("signature", m.diag) for m in metrics]
                       + [("params a =", p.a) for p in params]):
         if len(vec) != dim:
@@ -148,19 +150,16 @@ def cmd_verify_algebra(args):
                                                 _quantum_job)
     records = _map_jobs(jobs, args.jobs)
     # the discovered linear relation, per signature, on the first params
-    rels = []
-    if params and dim >= 3:  # the linear relation needs three coordinates
-        for metric in metrics:
-            rel = discover_linear_relation(metric, params[0])
-            rels.append({"signature": list(metric.diag),
-                         "alpha": {f"{i}{j}": _rat(c)
-                                   for (i, j), c in sorted(rel.alpha.items())},
-                         "alpha_0": _rat(rel.alpha_0),
-                         "alpha_00": _rat(rel.alpha_00)})
-        consistent = len({json.dumps({k: v for k, v in r.items()
-                                      if k != "signature"}) for r in rels}) == 1
+    if dim >= 3:  # the linear relation needs three coordinates
+        mi = verify_metric_independence(dim, params[0], metrics, families=())
+        rels = []
+        for entry in mi["per_signature"]:
+            alpha, alpha_0, alpha_00 = entry["coefficients"]
+            rels.append({"signature": list(entry["metric"].diag),
+                         "alpha": {f"{i}{j}": _rat(c) for (i, j), c in alpha},
+                         "alpha_0": _rat(alpha_0), "alpha_00": _rat(alpha_00)})
         records.append({"kind": "linear_relation_metric_independence",
-                        "passed": consistent, "relations": rels})
+                        "passed": mi["passed"], "relations": rels})
     report = {"tool": "pseudosphere", "version": __version__,
               "command": "verify-algebra", "records": records,
               "summary": _summarize(records)}
@@ -183,11 +182,10 @@ def _correspondence_job(diag, a):
 
 
 def cmd_classical_check(args):
-    _, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
-                                              _classical_job)
-    for metric in metrics:
-        for p in params:
-            jobs.append((_correspondence_job, metric.diag, p.a))
+    dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
+                                                _classical_job)
+    if dim >= 3:  # below three coordinates there is no generator pair to check
+        jobs += [(_correspondence_job, m.diag, p.a) for m in metrics for p in params]
     records = _map_jobs(jobs, args.jobs)
     report = {"tool": "pseudosphere", "version": __version__,
               "command": "classical-check", "records": records,
@@ -332,6 +330,12 @@ def build_parser():
 
 def run(argv=None) -> int:
     ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value starting with "-" for an option: attach it to
+    # --signature or to an abbreviation of it
+    for i in reversed(range(len(argv) - 1)):
+        if len(argv[i]) > 2 and "--signature".startswith(argv[i]):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

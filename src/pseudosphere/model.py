@@ -21,12 +21,10 @@ from .weylops import (
     Metric,
     NotDivisible,
     WeylOp,
-    _pivot_shift,
+    _normal_forms,
     commutator,
     compose,
     divide_by_hbar,
-    reduce_mod_constraint,
-    shift_coord,
     vanishes_mod_constraint,
 )
 
@@ -202,6 +200,19 @@ class RelationReport:
     elapsed_ms: float = 0.0
 
 
+def _generator_lookup(metric: Metric, params: ModelParams, builders: dict):
+    """gen(letter, *indices): the generator builders[letter](metric, params,
+    *indices), built once per lookup."""
+    built = {}
+
+    def gen(*tag):
+        if tag not in built:
+            built[tag] = builders[tag[0]](metric, params, *tag[1:])
+        return built[tag]
+
+    return gen
+
+
 def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
                     params: ModelParams, builders: dict, bracket, quantum: bool):
     """[x, y] - h RHS (quantum, h formal) or {x, y} - RHS at h = 0 for the
@@ -212,13 +223,10 @@ def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
     arity, (x, y), rhs = RELATIONS[family]
     if len(idx) != arity:
         raise ValueError(f"family {family} takes {arity} indices, got {len(idx)}")
-    gens = {}
+    lookup = _generator_lookup(metric, params, builders)
 
     def gen(name):
-        if name not in gens:
-            gens[name] = builders[name[0]](metric, params,
-                                           *(idx[int(p)] for p in name[1:]))
-        return gens[name]
+        return lookup(name[0], *(idx[int(p)] for p in name[1:]))
 
     lhs = bracket(gen(x), gen(y))
     total = lhs.zero(metric.dim)
@@ -239,12 +247,12 @@ def _relation_residual(family: str, idx: tuple[int, ...], metric: Metric,
                            commutator, quantum=True)
 
 
-def _closes(residual, metric: Metric, vanishes) -> tuple[bool, bool]:
-    """(passed, reduced): the residual is zero in the ambient ring, else
-    ``vanishes(residual, metric)`` modulo the quadric."""
+def _closes(residual, metric: Metric) -> tuple[bool, bool]:
+    """(passed, reduced) of a residual in either ring: zero in the ambient
+    ring, else zero modulo the quadric."""
     if residual.is_zero():
         return True, False
-    passed = vanishes(residual, metric)
+    passed = vanishes_mod_constraint(residual, metric)
     return passed, passed
 
 
@@ -258,7 +266,7 @@ def verify_relation(family: str, indices, metric: Metric,
     except NotDivisible:
         return RelationReport(family, idx, metric.diag, params.a, False, False, -1,
                               (time.perf_counter() - t0) * 1e3)
-    passed, reduced = _closes(residual, metric, vanishes_mod_constraint)
+    passed, reduced = _closes(residual, metric)
     return RelationReport(
         family, idx, metric.diag, params.a, passed, reduced,
         0 if passed else len(residual.terms), (time.perf_counter() - t0) * 1e3,
@@ -346,11 +354,8 @@ def discover_linear_relation(metric: Metric, params: ModelParams) -> LinearRelat
     raw = [build_Q(metric, params, i, j) for (i, j) in pairs]
     raw.append(build_H(metric, params).scale(-1))
     raw.append(WeylOp.const(d, -1))
-    # one consistent normal form: clear pivot denominators by a common even
-    # power of s_d (linear in the operator), then rewrite mod the quadric
-    last = d - 1
-    shift = _pivot_shift((key for g in raw for key in g.terms), last)
-    gens = [reduce_mod_constraint(shift_coord(g, last, shift), metric) for g in raw]
+    # one consistent normal form: a common pivot shift, then the quadric
+    gens = _normal_forms(raw, metric)
     ncols = len(gens)
 
     keys = sorted({(key, e) for g in gens for key, hp in g.terms.items() for e in hp})

@@ -8,10 +8,12 @@ generic system, and the quantum -> classical correspondence check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from operator import add, mul
 
-from .weylops import Metric, TermDict, WeylOp, _pivot_shift, _reduce
-from .model import ModelParams, _closes, _hamiltonian, _second_order, _table_residual
+from .weylops import Metric, TermDict, WeylOp, reduce_mod_constraint, vanishes_mod_constraint
+from .model import (ModelParams, _closes, _generator_lookup, _hamiltonian, _second_order,
+                    _table_residual)
 
 Mono = tuple[int, ...]
 
@@ -102,14 +104,13 @@ def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 
 
 def reduce_mod_constraint_cl(f: PhasePoly, metric: Metric) -> PhasePoly:
-    """Rewrite s_d^2 via the quadric, as in the operator kernel."""
-    return _reduce(f, metric)
+    """weylops.reduce_mod_constraint, which takes either ring."""
+    return reduce_mod_constraint(f, metric)
 
 
 def vanishes_mod_constraint_cl(f: PhasePoly, metric: Metric) -> bool:
-    last = f.dim - 1
-    f = f * PhasePoly.coord(f.dim, last, _pivot_shift(f.terms, last))
-    return reduce_mod_constraint_cl(f, metric).is_zero()
+    """weylops.vanishes_mod_constraint, which takes either ring."""
+    return vanishes_mod_constraint(f, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +138,12 @@ def build_C_cl(metric: Metric, params: ModelParams, i, j, k) -> PhasePoly:
 
 
 def build_classical_model(metric: Metric, params: ModelParams) -> dict:
-    """All classical generators: H, every Q_ij, every C_ijk (i<j<k rep)."""
-    d = metric.dim
-    out = {"H": build_H_cl(metric, params)}
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[("Q", i, j)] = build_Q_cl(metric, params, i, j)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if len({i, j, k}) == 3:
-                    out[("C", i, j, k)] = build_C_cl(metric, params, i, j, k)
-    return out
+    """All classical generators: H, every Q_ij (i < j), every C_ijk."""
+    gen = _generator_lookup(metric, params,
+                            {"H": build_H_cl, "Q": build_Q_cl, "C": build_C_cl})
+    tags = [("Q",) + t for t in combinations(range(metric.dim), 2)] \
+        + [("C",) + t for t in permutations(range(metric.dim), 3)]
+    return {"H": gen("H"), **{tag: gen(*tag) for tag in tags}}
 
 
 def classical_relation_residual(family: str, idx, metric: Metric,
@@ -163,7 +158,7 @@ def classical_relation_residual(family: str, idx, metric: Metric,
 def verify_classical_relation(family: str, idx, metric: Metric,
                               params: ModelParams) -> dict:
     residual = classical_relation_residual(family, tuple(idx), metric, params)
-    passed, reduced = _closes(residual, metric, vanishes_mod_constraint_cl)
+    passed, reduced = _closes(residual, metric)
     return {"family": family, "indices": tuple(idx), "passed": passed,
             "reduced": reduced,
             "residual_terms": 0 if passed else len(residual.terms)}
@@ -192,28 +187,20 @@ def correspondence_check(metric: Metric, params: ModelParams,
 
     Records the sign that matches for every generator pair and asserts
     it is one global constant (0-sign entries mean both sides vanished).
+    With no pair to check (d < 3 by default) it is vacuous and fails.
     """
     from .model import build_Q, build_C
     from .weylops import commutator, divide_by_hbar
 
-    d = metric.dim
     if pairs is None:
-        pairs = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    pairs.append((("Q", i, j), ("Q", i, k)))
-                    pairs.append((("Q", j, k), ("C", i, j, k)))
+        pairs = [pair for i, j, k in combinations(range(metric.dim), 3)
+                 for pair in ((("Q", i, j), ("Q", i, k)), (("Q", j, k), ("C", i, j, k)))]
 
-    def q_op(tag):
-        if tag[0] == "Q":
-            return build_Q(metric, params, tag[1], tag[2])
-        return build_C(metric, params, tag[1], tag[2], tag[3])
-
+    q_op = _generator_lookup(metric, params, {"Q": build_Q, "C": build_C})
     records = []
     signs = set()
     for (x, y) in pairs:
-        Xq, Yq = q_op(x), q_op(y)
+        Xq, Yq = q_op(*x), q_op(*y)
         lhs = principal_symbol(divide_by_hbar(commutator(Xq, Yq)))
         rhs = poisson_bracket(principal_symbol(Xq), principal_symbol(Yq))
         if lhs.is_zero() and rhs.is_zero():
@@ -228,7 +215,9 @@ def correspondence_check(metric: Metric, params: ModelParams,
         if sign:
             signs.add(sign)
     return {
-        "passed": None not in {r["sign"] for r in records} and len(signs) <= 1,
+        "passed": bool(records) and None not in {r["sign"] for r in records}
+        and len(signs) <= 1,
         "global_sign": signs.pop() if len(signs) == 1 else None,
+        "vacuous": not records,
         "records": records,
     }

@@ -227,9 +227,6 @@ class WeylOp(TermDict):
             return compose(self, other)
         return self.scale(other)
 
-    def max_hdegree(self) -> int:
-        return max((max(hp) for hp in self.terms.values()), default=0)
-
 
 # ---------------------------------------------------------------------------
 # core operations
@@ -364,25 +361,47 @@ def lp_eval(f: LaurentPoly, point) -> Fraction:
     return total
 
 
-def shift_coord(op: WeylOp, axis: int, power: int) -> WeylOp:
+def shift_coord(op: TermDict, axis: int, power: int) -> TermDict:
     """Left-multiply by s_axis**power (a unit of the Laurent ring)."""
     out = {}
-    for (A, B), hp in op.terms.items():
+    for (A, B), c in op.terms.items():
         A2 = tuple(a + power if i == axis else a for i, a in enumerate(A))
-        out[(A2, B)] = hp
-    return WeylOp(op.dim, out)
+        out[(A2, B)] = c
+    return type(op)(op.dim, out)
 
 
-def _pivot_shift(keys, last: int) -> int:
-    """Least even power of s_last that clears its negative powers in keys."""
-    low = min((A[last] for A, _ in keys), default=0)
-    return 2 * ((-low + 1) // 2) if low < 0 else 0
+def _normal_forms(ops: list, metric: Metric) -> list:
+    """Normal forms modulo the quadric of ops, after one common even power
+    of s_d (a unit commuting with q+1, and linear) clears their negative
+    pivot powers."""
+    last = ops[0].dim - 1
+    low = min((A[last] for op in ops for A, _ in op.terms), default=0)
+    shift = 2 * ((-low + 1) // 2) if low < 0 else 0
+    return [reduce_mod_constraint(shift_coord(op, last, shift), metric) for op in ops]
 
 
-def _reduce(op: TermDict, metric: Metric) -> TermDict:
-    """Normal form of op modulo the quadric, over its scalar ring.
+def vanishes_mod_constraint(op: TermDict, metric: Metric) -> bool:
+    """Membership of op in (q+1)·W, q = sum_i g_ii s_i^2: the operators
+    (q+1) X, whose output vanishes on the quadric (the right ideal of q+1
+    when W·x is the left ideal of x); for a phase.PhasePoly, the ideal of
+    q+1.  A unit s_d^(2k), commuting with q+1, clears negative pivot
+    powers; q+1 is then monic of degree 2 in s_d up to the sign g_dd, so
+    the remainder per derivative (or momentum) monomial, the normal form,
+    is unique, and zero exactly on members."""
+    return _normal_forms([op], metric)[0].is_zero()
+
+
+def reduce_mod_constraint(op: TermDict, metric: Metric) -> TermDict:
+    """Normal form modulo the quadric g_ii s_i^2 summed = -1, over the
+    scalar ring of op (a WeylOp or a phase.PhasePoly).
+
+    Coordinate monomials with exponent >= 2 in the last coordinate are
+    rewritten via s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) until none
+    remain; coefficients stay exact and the result is idempotent.  With no
+    negative s_d exponent it is the unique remainder modulo (q+1)·W.
     Level by level in the s_d exponent e, from the top: s_d^2 is replaced
-    once and the images merge into level e - 2, so work is linear in e."""
+    once and the images merge into level e - 2, so work is linear in e.
+    """
     d = op.dim
     scale, add = op._scale, op._add
     if metric.dim != d:
@@ -409,26 +428,3 @@ def _reduce(op: TermDict, metric: Metric) -> TermDict:
                 else:
                     below.pop(key, None)
     return type(op)(d, {key: c for bucket in levels.values() for key, c in bucket.items() if c})
-
-
-def vanishes_mod_constraint(op: WeylOp, metric: Metric) -> bool:
-    """Membership of op in (q+1)·W, q = sum_i g_ii s_i^2: the operators
-    (q+1) X, whose output vanishes on the quadric (the right ideal of q+1
-    when W·x is the left ideal of x).  A unit s_d^(2k), commuting with q+1,
-    clears negative pivot powers; q+1 is then monic of degree 2 in s_d up
-    to the sign g_dd, so the remainder per derivative monomial D^B (the
-    normal form) is unique, and zero exactly on members."""
-    last = op.dim - 1
-    op = shift_coord(op, last, _pivot_shift(op.terms, last))
-    return reduce_mod_constraint(op, metric).is_zero()
-
-
-def reduce_mod_constraint(op: WeylOp, metric: Metric) -> WeylOp:
-    """Normal form modulo the quadric g_ii s_i^2 summed = -1.
-
-    Coordinate monomials with exponent >= 2 in the last coordinate are
-    rewritten via s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) until none
-    remain; coefficients stay exact and the result is idempotent.  With no
-    negative s_d exponent it is the unique remainder modulo (q+1)·W.
-    """
-    return _reduce(op, metric)

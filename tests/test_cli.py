@@ -82,6 +82,20 @@ def test_invalid_manifest_exit_2(command, manifest, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "classical-check"])
+@pytest.mark.parametrize("empty", ["signatures", "params"])
+def test_manifest_with_nothing_to_check_exit_2(command, empty, tmp_path, capsys):
+    # an empty list would give a report with no record, or (verify-algebra)
+    # a linear-relation record over no signature
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(dict(DEFAULT_MANIFEST, **{empty: []})))
+    assert run([command, "--manifest", str(mpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("pseudosphere: the manifest lists no signature "
+                            "or no params vector\n")
+    assert captured.out == ""
+
+
 class TestClassicalCheck:
     def test_default(self, tmp_path):
         out = tmp_path / "cl.json"
@@ -103,6 +117,20 @@ class TestClassicalCheck:
                         "--jobs", jobs, "--out", str(out)]) == 0
             reports.append(out.read_text())
         assert reports[0] == reports[1]
+
+    def test_dim2_manifest_has_no_correspondence_record(self, tmp_path):
+        # below d = 3 there is no generator pair, so no correspondence
+        # record (it could only pass vacuously)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"dim": 2, "signatures": "all",
+                                     "params": [{"a": ["1/4", "-2/3"]}]}))
+        out = tmp_path / "r.json"
+        assert run(["classical-check", "--manifest", str(mpath),
+                    "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert len(records) == 4
+        assert all(r["kind"] == "classical" and r["family"] == "symmetry"
+                   and r["passed"] for r in records)
 
 
 class TestRacahSpectrum:
@@ -170,6 +198,18 @@ class TestCrossCheck:
         assert run(["cross-check", "--l", "1/2,1/2,2",
                     "--signature", "+,+,-", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["vacuous"]
+
+    def test_signature_value_starting_with_minus(self, tmp_path):
+        # "--signature -,-,-" (no "=") must read -,-,- as the value
+        reports = []
+        for argv in (["--signature", "-,-,-"], ["--sig", "-,-,-"],
+                     ["--signature=-,-,-"]):
+            out = tmp_path / "x.json"
+            assert run(["cross-check", "--l", "1/2,1/2,1/2", *argv,
+                        "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["signature"] == [-1, -1, -1]
 
     def test_bad_signature_exit_2(self):
         assert run(["cross-check", "--l", "1/2,1/2,2",

@@ -209,6 +209,16 @@ class TestCorrespondence:
         assert rep["passed"]
         assert rep["records"][0]["sign"] == 0
 
+    def test_no_pair_is_vacuous_and_fails(self):
+        # d = 2 has no index triple, so the default pair list is empty
+        p = ModelParams.from_a((F(1, 4), F(-2, 3)))
+        for diag in itertools.product((1, -1), repeat=2):
+            rep = correspondence_check(Metric(diag), p)
+            assert rep["records"] == []
+            assert rep["vacuous"] and not rep["passed"]
+        rep = correspondence_check(Metric((1, 1, -1)), ModelParams.from_a((1, 2, 3)))
+        assert rep["passed"] and not rep["vacuous"]
+
     def test_quantum_limit_reproduces_classical_family(self):
         # the hbar^0 shadow of the corrected quantum qc_adjacent relation is
         # the classical one: residual of the classical family vanishes

@@ -427,3 +427,109 @@ class TestMetric:
     def test_entries_validated(self):
         with pytest.raises(ValueError):
             Metric((1, 2, 1))
+
+
+@st.composite
+def small_ops(draw, dim):
+    """Operators of up to three terms: s exponents -2..2, D exponents
+    0..2, h powers 0..1, denominators 1..4."""
+    op = WeylOp.zero(dim)
+    for _ in range(draw(st.integers(1, 3))):
+        op += WeylOp.term(dim, F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 4))),
+                          smon=tuple(draw(st.integers(-2, 2)) for _ in range(dim)),
+                          dmon=tuple(draw(st.integers(0, 2)) for _ in range(dim)),
+                          hpow=draw(st.integers(0, 1)))
+    return op
+
+
+@st.composite
+def laurent_polys(draw, dim):
+    return {tuple(draw(st.integers(-3, 3)) for _ in range(dim)):
+            F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 4)))
+            for _ in range(draw(st.integers(1, 4)))}
+
+
+class TestKernelProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_compose_associative(self, data, dim):
+        X, Y, Z = (data.draw(small_ops(dim)) for _ in range(3))
+        assert compose(X, compose(Y, Z)) == compose(compose(X, Y), Z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_commutator_jacobi(self, data, dim):
+        X, Y, Z = (data.draw(small_ops(dim)) for _ in range(3))
+        acc = commutator(X, commutator(Y, Z)) + commutator(Y, commutator(Z, X)) \
+            + commutator(Z, commutator(X, Y))
+        assert acc.is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           h=st.sampled_from([F(1), F(-2), F(1, 3)]))
+    def test_apply_of_compose_is_composed_action(self, data, dim, h):
+        # the Leibniz rule of compose against the action on Laurent
+        # polynomials, with h evaluated
+        X, Y = data.draw(small_ops(dim)), data.draw(small_ops(dim))
+        f = data.draw(laurent_polys(dim))
+        assert apply_op(compose(X, Y), f, hbar=h) == \
+            apply_op(X, apply_op(Y, f, hbar=h), hbar=h)
+
+
+def reference_vanishes_cl(f, metric):
+    """The classical check's former pivot shift, a product with the
+    polynomial s_d^(2k), followed by the reduction: the oracle for the
+    shared vanishes_mod_constraint on phase-space polynomials."""
+    from pseudosphere.phase import PhasePoly, reduce_mod_constraint_cl
+    last = f.dim - 1
+    low = min((A[last] for A, _ in f.terms), default=0)
+    shift = 2 * ((-low + 1) // 2) if low < 0 else 0
+    return reduce_mod_constraint_cl(f * PhasePoly.coord(f.dim, last, shift), metric).is_zero()
+
+
+@pytest.mark.parametrize("metric", PROPERTY_METRICS, ids=lambda m: str(m.diag))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_vanishes_on_phase_polys_matches_product_shift(metric, data):
+    from pseudosphere.phase import PhasePoly
+    d = metric.dim
+    # a phase-space polynomial with the same (s, p) exponents as an operator
+    f = PhasePoly(d, {key: F(hp[0] if 0 in hp else 1) for key, hp
+                      in data.draw(pivot_heavy_ops(d)).terms.items()})
+    q1 = sum((PhasePoly.coord(d, i, 2).scale(g) for i, g in enumerate(metric.diag)),
+             PhasePoly.term(d, 1))
+    for g in (f, q1 * f, q1 * f + PhasePoly.term(d, 1)):
+        assert vanishes_mod_constraint(g, metric) == reference_vanishes_cl(g, metric)
+    assert vanishes_mod_constraint(q1 * f, metric)
+    assert not vanishes_mod_constraint(q1 * f + PhasePoly.term(d, 1), metric)
+
+
+def test_correspondence_builds_each_generator_once(monkeypatch):
+    # one lookup per correspondence_check: each distinct Q_ij and C_ijk of
+    # the pair list is built once (build_C still builds its own Q_ij, Q_ik)
+    from pseudosphere import model
+    from pseudosphere.phase import correspondence_check
+    calls, inside_C = [], []
+    build_Q, build_C = model.build_Q, model.build_C
+
+    def record_Q(metric, params, *ix):
+        if not inside_C:
+            calls.append(("Q",) + ix)
+        return build_Q(metric, params, *ix)
+
+    def record_C(metric, params, *ix):
+        calls.append(("C",) + ix)
+        inside_C.append(ix)
+        try:
+            return build_C(metric, params, *ix)
+        finally:
+            inside_C.pop()
+
+    monkeypatch.setattr(model, "build_Q", record_Q)
+    monkeypatch.setattr(model, "build_C", record_C)
+    rep = correspondence_check(Metric((1, -1, 1, -1)),
+                               model.ModelParams.from_a((1, F(2, 3), -3, F(1, 5))))
+    assert rep["passed"]
+    tags = {tag for r in rep["records"] for tag in r["pair"]}
+    assert sorted(calls) == sorted(tags)
+    assert sum(tag[0] == "C" for tag in tags) == 4 and len(tags) == 10
