@@ -349,6 +349,12 @@ def run(argv=None) -> int:
         if args.command == "cross-check" and len(args.signature) != 3:
             print("expected a three-entry signature", file=sys.stderr)
             return 2
+        if getattr(args, "max_p", 0) < 0:
+            print(f"--max-p must be at least 0, got {args.max_p}", file=sys.stderr)
+            return 2
+        if getattr(args, "jobs", 1) < 1:
+            print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+            return 2
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"pseudosphere: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from operator import add, mul
 
 from .weylops import Metric, TermDict, WeylOp, reduce_mod_constraint, vanishes_mod_constraint
@@ -94,13 +95,32 @@ class PhasePoly(TermDict):
 
 
 def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """{f, g} with the convention {s_i, p_j} = delta_ij."""
+    """{f, g} with the convention {s_i, p_j} = delta_ij, in one pass.
+
+    A term pair u s^A p^B, v s^C p^D gives (A_i D_i - B_i C_i) u v at
+    s^(A+C-e_i) p^(B+D-e_i) for each axis i.  The products accumulate as
+    integers over df * dg, the common denominators of f and g; each
+    output coefficient is divided once, as a Fraction."""
     f._check(g)
-    out = PhasePoly(f.dim)
-    for i in range(f.dim):
-        out += f.diff_s(i) * g.diff_p(i)
-        out -= f.diff_p(i) * g.diff_s(i)
-    return out
+    df = lcm(*(c.denominator for c in f.terms.values()))
+    dg = lcm(*(c.denominator for c in g.terms.values()))
+    right = [(C, D, v.numerator * (dg // v.denominator)) for (C, D), v in g.terms.items()]
+    axes = range(f.dim)
+    acc: dict[tuple[Mono, Mono], int] = {}
+    for (A, B), u in f.terms.items():
+        u = u.numerator * (df // u.denominator)
+        for C, D, v in right:
+            axes_w = [(i, w) for i in axes if (w := A[i] * D[i] - B[i] * C[i])]
+            if not axes_w:
+                continue
+            AC = tuple(map(add, A, C))
+            BD = tuple(map(add, B, D))
+            uv = u * v
+            for i, w in axes_w:
+                key = (AC[:i] + (AC[i] - 1,) + AC[i + 1:], BD[:i] + (BD[i] - 1,) + BD[i + 1:])
+                acc[key] = acc.get(key, 0) + w * uv
+    den = df * dg
+    return PhasePoly(f.dim, {key: Fraction(n, den) for key, n in acc.items() if n})
 
 
 def reduce_mod_constraint_cl(f: PhasePoly, metric: Metric) -> PhasePoly:

@@ -348,7 +348,10 @@ def match_spectrum_to_signature(metric: Metric, params: ModelParams,
                                 max_p: int = 6) -> dict:
     """Search the 8 sign patterns and the global Hamiltonian sign for the
     pattern whose algebraic spectrum equals the analytic
-    separation-of-variables spectrum of the surface named by the metric."""
+    separation-of-variables spectrum of the surface named by the metric.
+
+    With no analytic level up to max_p every pattern with no solution
+    would match, so an empty target is vacuous and fails."""
     from .specsolver import analytic_spectrum_h2, analytic_spectrum_s2
 
     if metric.dim != 3:
@@ -378,5 +381,5 @@ def match_spectrum_to_signature(metric: Metric, params: ModelParams,
         "analytic_levels": sorted(target),
         "matches": matches,
         "vacuous": not target,
-        "passed": bool(matches),
+        "passed": bool(target) and bool(matches),
     }

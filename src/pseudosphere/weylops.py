@@ -231,18 +231,30 @@ class WeylOp(TermDict):
 # ---------------------------------------------------------------------------
 # core operations
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8192)
 def _leibniz(B: Mono, C: Mono) -> tuple[tuple[Mono, int], ...]:
     """Nonzero terms (j, coefficient) of D^B s^C = sum_j coeff s^(C-j) D^(B-j).
 
     Per axis D^b s^c = sum_j C(b,j) c^(falling j) s^(c-j) D^(b-j); for
-    c >= 0 the falling factorial truncates the sum.
+    c >= 0 the falling factorial truncates the sum.  The first term is
+    always j = 0 with coefficient 1.
     """
     parts = [((), 1)]
     for b, c in zip(B, C):
         parts = [(j + (jx,), cf * comb(b, jx) * f) for j, cf in parts
                  for jx in range(b + 1) if (f := _falling(c, jx))]
     return tuple(parts)
+
+
+@lru_cache(maxsize=8192)
+def _leibniz_both(B: Mono, C: Mono, D: Mono, A: Mono, sign: int) -> tuple[tuple[Mono, int], ...]:
+    """The Leibniz terms of D^B s^C plus sign times those of D^D s^A,
+    merged by j, zeros dropped: for sign -1 the two j = 0 terms, both 1,
+    cancel."""
+    merged = dict(_leibniz(B, C))
+    for j, cf in _leibniz(D, A):
+        merged[j] = merged.get(j, 0) + sign * cf
+    return tuple((j, cf) for j, cf in merged.items() if cf)
 
 
 def _integer_terms(op: WeylOp):
@@ -253,21 +265,28 @@ def _integer_terms(op: WeylOp):
                  for (A, B), hp in op.terms.items()]
 
 
-def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
-    """Operator product lhs o rhs in canonical normal order.
+def _products(lhs: WeylOp, rhs: WeylOp, sign: int = 0) -> WeylOp:
+    """lhs o rhs + sign * rhs o lhs in canonical normal order (sign 0:
+    lhs o rhs alone): the kernel of compose and of both brackets.
 
-    The products accumulate as integers over the common denominator of
-    each operand; each output scalar is divided once, as a Fraction."""
+    A term pair (A, B), (C, D) gives s^(A+C-j) D^(B+D-j) in both orders,
+    so its Leibniz terms D^B s^C and sign * D^D s^A merge by j, and its
+    scalar product is formed once.  Products accumulate as integers over
+    dl * dr, the common denominators of the operands; each output scalar
+    is divided once, as a Fraction."""
     lhs._check(rhs)
     dl, left = _integer_terms(lhs)
     dr, right = _integer_terms(rhs)
     acc: dict[tuple[Mono, Mono], dict[int, int]] = {}
     for A, B, ca in left:
         for C, D, cb in right:
+            shifts = _leibniz_both(B, C, D, A, sign) if sign else _leibniz(B, C)
+            if not shifts:
+                continue
             base = [(i + j, u * v) for i, u in ca for j, v in cb]
             AC = tuple(map(add, A, C))
             BD = tuple(map(add, B, D))
-            for jvec, cf in _leibniz(B, C):
+            for jvec, cf in shifts:
                 hp = acc.setdefault((tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec))), {})
                 for k, n in base:
                     hp[k] = hp.get(k, 0) + cf * n
@@ -280,12 +299,26 @@ def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
     return WeylOp(lhs.dim, out)
 
 
+def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
+    """Operator product lhs o rhs in canonical normal order."""
+    return _products(lhs, rhs)
+
+
 def commutator(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
-    return compose(lhs, rhs) - compose(rhs, lhs)
+    """[lhs, rhs] = lhs o rhs - rhs o lhs in one pass, without forming
+    either product.
+
+    The j = 0 Leibniz term of a term pair, c_x c_y s^(A+C) D^(B+D), is the
+    same in both orders, because the h-polynomial scalars are central and
+    commute with every s and D: it cancels exactly and is never formed."""
+    return _products(lhs, rhs, -1)
 
 
 def anticommutator(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
-    return compose(lhs, rhs) + compose(rhs, lhs)
+    """{lhs, rhs} = lhs o rhs + rhs o lhs in one pass, without forming
+    either product; the j = 0 Leibniz terms of the two orders are equal
+    (central scalars), so they add to twice that term."""
+    return _products(lhs, rhs, 1)
 
 
 def divide_by_hbar(op: WeylOp) -> WeylOp:

@@ -194,10 +194,12 @@ class TestCrossCheck:
         assert {"signs": [-1, -1, -1], "global_flip": -1} in report["matches"]
 
     def test_vacuous_flagged(self, tmp_path):
+        # no H^2 level: every pattern with no solution would match
         out = tmp_path / "x.json"
         assert run(["cross-check", "--l", "1/2,1/2,2",
-                    "--signature", "+,+,-", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["vacuous"]
+                    "--signature", "+,+,-", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["vacuous"] and not report["passed"]
 
     def test_signature_value_starting_with_minus(self, tmp_path):
         # "--signature -,-,-" (no "=") must read -,-,- as the value
@@ -217,6 +219,19 @@ class TestCrossCheck:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["racah-spectrum", "--l", "1/2,1/2,13/2", "--max-p", "-1"],
+        ["cross-check", "--l", "1/2,1/2,3/2", "--signature=+,+,-", "--max-p", "-1"],
+        ["verify-algebra", "--jobs", "-2"],
+        ["verify-algebra", "--jobs", "0"],
+        ["classical-check", "--jobs", "-2"],
+    ], ids=lambda argv: " ".join(argv[i] for i in (0, -2, -1)))
+    def test_negative_count_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and argv[-2] in err
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()

@@ -153,6 +153,49 @@ class TestBracketProperties:
             assert acc.is_zero()
 
 
+def reference_poisson(f, g):
+    """sum_i df/ds_i dg/dp_i - df/dp_i dg/ds_i from 2d derivative
+    polynomials and their products: the oracle for the one-pass bracket."""
+    f._check(g)
+    out = PhasePoly(f.dim)
+    for i in range(f.dim):
+        out += f.diff_s(i) * g.diff_p(i)
+        out -= f.diff_p(i) * g.diff_s(i)
+    return out
+
+
+@st.composite
+def dense_polys(draw, dim, max_terms=5):
+    """Canonical phase-space polynomials: denominators 1..6, s exponents
+    -4..4, p exponents 0..3, zero polynomials included."""
+    return PhasePoly(dim, {
+        (tuple(draw(st.integers(-4, 4)) for _ in range(dim)),
+         tuple(draw(st.integers(0, 3)) for _ in range(dim))):
+        F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 6)))
+        for _ in range(draw(st.integers(0, max_terms)))})
+
+
+class TestBracketOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_matches_reference_antisymmetric(self, data, dim):
+        f = data.draw(dense_polys(dim))
+        g = data.draw(dense_polys(dim))
+        got = poisson_bracket(f, g)
+        assert got.terms == reference_poisson(f, g).terms
+        assert all(type(c) is F and c for c in got.terms.values())
+        assert poisson_bracket(g, f) == got.scale(-1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_jacobi(self, data, dim):
+        f, g, h = (data.draw(dense_polys(dim, max_terms=3)) for _ in range(3))
+        acc = poisson_bracket(f, poisson_bracket(g, h)) \
+            + poisson_bracket(g, poisson_bracket(h, f)) \
+            + poisson_bracket(h, poisson_bracket(f, g))
+        assert acc.is_zero()
+
+
 class TestClassicalModel:
     def test_Q_free_euclidean(self):
         m = Metric((1, 1, 1))

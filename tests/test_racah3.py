@@ -241,4 +241,5 @@ class TestMatching:
         rep = match_spectrum_to_signature(
             Metric((1, 1, -1)), ModelParams.from_l((F(1, 2), F(1, 2), F(2))))
         assert rep["vacuous"]
-        assert rep["passed"]  # every empty pattern matches; flagged vacuous
+        # every pattern with no solution matches the empty target: vacuous
+        assert not rep["passed"]

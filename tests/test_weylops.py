@@ -343,6 +343,36 @@ class TestComposeOracle:
             assert reference_compose(X, Y).terms == {}
 
 
+def reference_commutator(lhs, rhs):
+    """The two products formed and subtracted: the oracle for the
+    one-pass commutator."""
+    return compose(lhs, rhs) - compose(rhs, lhs)
+
+
+def reference_anticommutator(lhs, rhs):
+    """The two products formed and added: the oracle for the one-pass
+    anticommutator."""
+    return compose(lhs, rhs) + compose(rhs, lhs)
+
+
+class TestBracketOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_matches_reference_brackets(self, data, dim):
+        X = data.draw(dense_ops(dim))
+        Y = data.draw(dense_ops(dim))
+        for got, want in ((commutator(X, Y), reference_commutator(X, Y)),
+                          (anticommutator(X, Y), reference_anticommutator(X, Y))):
+            assert got.terms == want.terms
+            assert_canonical(got)
+        assert commutator(X, X).terms == {}
+
+    def test_dimension_mismatch(self):
+        for bracket in (commutator, anticommutator):
+            with pytest.raises(DimensionMismatch):
+                bracket(WeylOp.coord(2, 0), WeylOp.coord(3, 0))
+
+
 def _constraint_points():
     """Rational points on s1^2 + s2^2 - s3^2 = -1 with all coords nonzero."""
     pts = []
