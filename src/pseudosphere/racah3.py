@@ -15,9 +15,11 @@ for comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .weylops import (
     Metric,
@@ -97,9 +99,17 @@ class ABCRealization:
 
 def abc_realization(metric: Metric, params: ModelParams) -> ABCRealization:
     """A = Q_12, B = Q_13, C = [A, B] at hbar = 1, plus Q_23 reconstructed
-    from the discovered linear relation (residual checked, not assumed)."""
+    from the discovered linear relation (residual checked, not assumed).
+
+    Memoized per (metric, params): the form and Casimir certificates of
+    one (metric, params) share a single build."""
     if metric.dim != 3:
         raise ValueError("the Daskaloyannis treatment is for d = 3")
+    return _abc_realization(metric, params)
+
+
+@functools.lru_cache(maxsize=8)
+def _abc_realization(metric: Metric, params: ModelParams) -> ABCRealization:
     A = specialize_hbar(build_Q(metric, params, 0, 1), 1)
     B = specialize_hbar(build_Q(metric, params, 0, 2), 1)
     H = specialize_hbar(build_H(metric, params), 1)
@@ -296,22 +306,39 @@ ALL_SIGN_PATTERNS = tuple(itertools.product((1, -1), repeat=3))
 
 
 def _candidates(params, signs, max_p, flip):
-    m1, m2, m3 = m_values(params)
+    """The certified representations of one sign pattern, p = 0..max_p.
+
+    Phi = LEADING_COEFF * prod_r (x - N_r) has a positive leading
+    coefficient, so with the roots sorted, Phi(x) <= 0 exactly on the
+    closed gaps [r1, r2], [r3, r4], [r5, r6], [r7, r8]: at a root Phi
+    is 0, and inside such a gap an odd number of roots lie above x.
+    Phi(nu + u) > 0 for nu = 1..p thus holds when no gap, shifted by
+    -u, holds an integer in [1, p].  Scaled by 4D, D the lcm of the
+    m_i denominators, the shifted roots are integers and the test is
+    two integer floor divisions per gap.
+    """
     e1, e2, e3 = signs
+    ms = m_values(params)
+    D = lcm(*(m.denominator for m in ms))
+    M1, M2, M3 = (m.numerator * (D // m.denominator) for m in ms)
+    scale = 4 * D
     # Phi(0 + u) = 0 demands u be an (m1, m2)-root; with the Etilde
     # convention below, the consistent choice is eps -> -eps in u.
     u = rep_parameter_u((-e1, -e2), params)
+    c = e1 * M1 + e2 * M2                  # scale * (1/2 - u)
+    fixed = [c - (M1 - M2), c + (M1 - M2), c - (M1 + M2), c + (M1 + M2)]
     out = []
     for p in range(max_p + 1):
-        Etilde = 4 * (p + 1) - e3 * m3 - e2 * m2 - e1 * m1
-        if flip is not None and not (flip * Etilde < 0):
+        T = scale * (p + 1) - e3 * M3 - e2 * M2 - e1 * M1      # D * Etilde
+        if flip is not None and not (flip * T < 0):
             # bound-state direction: flip * (eps.l - 2(p+1)) > 0
             continue
-        certified = all(
-            structure_function_eval(nu + u, Etilde, params) > 0
-            for nu in range(1, p + 1))
-        if not certified:
+        roots = sorted(fixed + [c - (T - M3), c + (T - M3),
+                                c - (T + M3), c + (T + M3)])
+        if any(max(1, -(-lo // scale)) <= min(p, hi // scale)
+               for lo, hi in zip(roots[::2], roots[1::2])):
             continue
+        Etilde = Fraction(T, D)
         out.append(RepSolution(signs=signs, u=u, p=p,
                                E=Fraction(1 - Etilde * Etilde, 4),
                                Etilde=Etilde, degeneracy=p + 1,
@@ -327,8 +354,12 @@ def find_spectrum(params: ModelParams, max_p: int,
     bound-state direction of the two-sheeted hyperboloid), "s2"
     (pattern (-,-,-), global Hamiltonian sign flipped), or an explicit
     (eps1, eps2, eps3) tuple.  Each emitted solution carries the exact
-    positivity certificate Phi(nu) > 0 for nu = 1..p.  An empty list is
-    a valid result.
+    certificate of a (p+1)-dimensional representation: Phi(u) = 0 and
+    Phi(p + 1 + u) = 0 hold by construction (u is an (m1, m2)-root and
+    Etilde puts p + 1 + u on an (Etilde, m3)-root), and
+    Phi(nu + u) > 0 for nu = 1..p is checked exactly.  flip = +1 keeps
+    Etilde < 0, flip = -1 keeps Etilde > 0.  An empty list is a valid
+    result.
     """
     if sign_mode == "h2":
         patterns, flip = [H2_SIGNS], 1
@@ -370,9 +401,12 @@ def match_spectrum_to_signature(metric: Metric, params: ModelParams,
 
     matches = []
     for signs in ALL_SIGN_PATTERNS:
+        # one certificate pass per pattern; flip = +1 keeps Etilde < 0
+        # and flip = -1 keeps Etilde > 0, as find_spectrum's flip does
+        sols = find_spectrum(params, max_p, sign_mode=signs)
         for flip in (1, -1):
-            sols = find_spectrum(params, max_p, sign_mode=signs, flip=flip)
-            got = {(flip * s.E, s.degeneracy) for s in sols}
+            got = {(flip * s.E, s.degeneracy) for s in sols
+                   if flip * s.Etilde < 0}
             if got == target:
                 matches.append({"signs": signs, "global_flip": flip})
     return {

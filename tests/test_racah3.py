@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from pseudosphere import racah3
 from pseudosphere.weylops import Metric, commutator, vanishes_mod_constraint
 from pseudosphere.model import ModelParams
 from pseudosphere.racah3 import (
@@ -24,6 +25,7 @@ from pseudosphere.racah3 import (
     rep_parameter_u,
     find_spectrum,
     match_spectrum_to_signature,
+    RepSolution,
 )
 
 
@@ -106,6 +108,30 @@ class TestCasimir:
                 assert rep["passed"], (diag, rep)
                 checked += 1
         assert checked >= 5
+
+    def test_certificates_share_one_realization(self, monkeypatch):
+        # the form and Casimir certificates of one (metric, params) build
+        # the realization once, and report what two builds reported
+        m = Metric((1, -1, 1))
+        p = ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
+        builds = []
+        build_H = racah3.build_H
+        monkeypatch.setattr(racah3, "build_H",
+                            lambda *args: builds.append(args) or build_H(*args))
+
+        def certify():
+            return verify_daskaloyannis_form(m, p), verify_casimir(m, p)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(racah3, "_abc_realization",
+                       racah3._abc_realization.__wrapped__)
+            uncached = certify()
+        assert len(builds) == 2
+        racah3._abc_realization.cache_clear()
+        builds.clear()
+        assert certify() == uncached
+        assert len(builds) == 1
+        assert all(rep["passed"] for rep in uncached)
 
     def test_centrality_operator_level(self):
         m = Metric((1, 1, -1))
@@ -220,6 +246,96 @@ class TestSpectrum:
             analytic = analytic_spectrum_s2(l, max_levels=6)
             assert [(-s.E, s.degeneracy) for s in sols] == \
                 [(lv.E, lv.degeneracy) for lv in analytic], l
+
+
+def reference_candidates(params, signs, max_p, flip):
+    """The certificate evaluated point by point: Phi(nu + u) for every
+    nu = 1..p at every p."""
+    m1, m2, m3 = m_values(params)
+    e1, e2, e3 = signs
+    u = rep_parameter_u((-e1, -e2), params)
+    out = []
+    for p in range(max_p + 1):
+        Etilde = 4 * (p + 1) - e3 * m3 - e2 * m2 - e1 * m1
+        if flip is not None and not (flip * Etilde < 0):
+            continue
+        if all(structure_function_eval(nu + u, Etilde, params) > 0
+               for nu in range(1, p + 1)):
+            out.append(RepSolution(signs=signs, u=u, p=p,
+                                   E=F(1 - Etilde * Etilde, 4),
+                                   Etilde=Etilde, degeneracy=p + 1,
+                                   certified=True))
+    return out
+
+
+def oracle_params(rng, kind):
+    if kind == "half_integer_l":
+        return ModelParams.from_l(tuple(F(rng.randint(-2, 15), 2)
+                                        for _ in range(3)))
+    if kind == "equal_m":
+        x = F(rng.randint(0, 10), 2)
+        return ModelParams.from_l((x, x, F(rng.randint(0, 15), 2)))
+    # a = (m^2 - 1)/4 from rational m: m not a half-integer, l not given
+    ms = [F(rng.randint(0, 30), rng.randint(1, 6)) for _ in range(3)]
+    return ModelParams.from_a(tuple((m * m - 1) / 4 for m in ms))
+
+
+class TestCertificateOracle:
+    KINDS = ("half_integer_l", "equal_m", "rational_m")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_pointwise_certificate(self, kind):
+        rng = random.Random(101 + self.KINDS.index(kind))
+        tally = {"accepted": 0, "negative": 0, "zero_only": 0}
+        for _ in range(10):
+            params = oracle_params(rng, kind)
+            max_p = rng.randint(0, 12)
+            for signs in ALL_SIGN_PATTERNS:
+                for flip in (None, 1, -1):
+                    assert find_spectrum(params, max_p, sign_mode=signs,
+                                         flip=flip) == \
+                        reference_candidates(params, signs, max_p, flip), \
+                        (params, signs, max_p, flip)
+                e1, e2, e3 = signs
+                m1, m2, m3 = m_values(params)
+                u = rep_parameter_u((-e1, -e2), params)
+                for p in range(max_p + 1):
+                    Et = 4 * (p + 1) - e3 * m3 - e2 * m2 - e1 * m1
+                    vals = [structure_function_eval(nu + u, Et, params)
+                            for nu in range(1, p + 1)]
+                    if all(v > 0 for v in vals):
+                        tally["accepted"] += 1
+                    elif any(v < 0 for v in vals):
+                        tally["negative"] += 1
+                    else:   # nu + u lands on a root, Phi >= 0 elsewhere
+                        tally["zero_only"] += 1
+            for mode, patterns, flip in (("all", ALL_SIGN_PATTERNS, None),
+                                         ("h2", (H2_SIGNS,), 1),
+                                         ("s2", (S2_SIGNS,), -1)):
+                assert find_spectrum(params, max_p, sign_mode=mode) == [
+                    s for signs in patterns
+                    for s in reference_candidates(params, signs, max_p, flip)]
+        # both verdicts occur, and so does a rejection with Phi = 0 but
+        # never Phi < 0: the on-root case a sign count alone misses
+        assert all(tally.values()), tally
+
+    def test_certificate_by_evaluation(self):
+        # Phi(u) = 0 and Phi(p + 1 + u) = 0 by construction;
+        # Phi(nu + u) > 0 for nu = 1..p is the checked part
+        rng = random.Random(107)
+        checked = 0
+        for _ in range(4):
+            params = ModelParams.from_l(tuple(F(rng.randint(1, 13), 2)
+                                              for _ in range(3)))
+            for s in find_spectrum(params, 40):
+                assert structure_function_eval(s.u, s.Etilde, params) == 0
+                assert structure_function_eval(s.p + 1 + s.u, s.Etilde,
+                                               params) == 0
+                assert all(structure_function_eval(nu + s.u, s.Etilde,
+                                                   params) > 0
+                           for nu in range(1, s.p + 1))
+                checked += 1
+        assert checked >= 20
 
 
 class TestMatching:
