@@ -67,8 +67,12 @@ class SLProblem:
     """-v'' + q(x) v = E v on (x0, x1), Dirichlet after truncation.
 
     The problem is assumed already in Liouville (self-adjoint) form; the
-    singular_left/right flags mark endpoints that need truncation."""
-    potential: object       # callable q(x) on the open interval
+    singular_left/right flags mark endpoints that need truncation.  The
+    potential is called once per grid on the numpy array of interior nodes
+    and returns an array of the same shape or a scalar (a constant
+    potential); a callable that accepts only a Python float fails with a
+    TypeError."""
+    potential: object       # callable q(x) on an array of interior nodes
     x0: float
     x1: float
     singular_left: bool = True
@@ -91,7 +95,7 @@ class GridSpec:
 def _eigs_on_grid(prob: SLProblem, a, b, n, count):
     h = (b - a) / (n + 1)
     x = a + h * np.arange(1, n + 1)
-    q = np.array([prob.potential(xi) for xi in x], dtype=float)
+    q = np.broadcast_to(np.asarray(prob.potential(x), dtype=float), x.shape)
     diag = 2.0 / h**2 + q
     off = np.full(n - 1, -1.0 / h**2)
     return eigh_tridiagonal(diag, off, select="i",
@@ -149,7 +153,7 @@ def _pt_trig(A2: float, B2: float, shift: float):
     """q(x) = (A2 - 1/4)/sin^2 x + (B2 - 1/4)/cos^2 x + shift on (0, pi/2)."""
     cA = A2 - 0.25
     cB = B2 - 0.25
-    return lambda x: cA / math.sin(x)**2 + cB / math.cos(x)**2 + shift
+    return lambda x: cA / np.sin(x)**2 + cB / np.cos(x)**2 + shift
 
 
 def angular_problem(l1, l2) -> SLProblem:
@@ -162,7 +166,7 @@ def radial_problem_h2(lam: float, l3, L: float) -> SLProblem:
     """xi in (0, L): q = (lam - 1/4)/sinh^2 - (l3^2 - 1/4)/cosh^2 + 1/4."""
     cA = lam - 0.25
     cB = float(l3)**2 - 0.25
-    pot = lambda x: cA / math.sinh(x)**2 - cB / math.cosh(x)**2 + 0.25
+    pot = lambda x: cA / np.sinh(x)**2 - cB / np.cosh(x)**2 + 0.25
     return SLProblem(potential=pot, x0=0.0, x1=L, singular_right=False)
 
 

@@ -15,6 +15,7 @@ from pseudosphere.specsolver import (
     solve_sturm_liouville,
     angular_problem,
     radial_problem_h2,
+    radial_problem_s2,
     pde_spectrum,
     group_numeric,
     H2_THRESHOLD,
@@ -108,6 +109,59 @@ class TestSolver:
             solve_sturm_liouville(
                 SLProblem(potential=lambda x: 0.0, x0=0.0, x1=1.0),
                 GridSpec(), 0)
+
+
+class TestPotentials:
+    """Each potential, evaluated once on a node array, against a pointwise
+    math.* evaluation of the closed form in its docstring."""
+
+    @staticmethod
+    def _assert_matches(prob, reference):
+        import numpy as np
+        x = np.linspace(prob.x0, prob.x1, 1003)[1:-1]
+        got = prob.potential(x)
+        assert got.shape == x.shape
+        for xi, gi in zip(x, got):
+            want = reference(float(xi))
+            assert abs(gi - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_angular(self):
+        l1, l2 = F(3, 2), F(5, 4)
+        self._assert_matches(
+            angular_problem(l1, l2),
+            lambda x: (float(l1)**2 - 0.25) / math.sin(x)**2
+            + (float(l2)**2 - 0.25) / math.cos(x)**2)
+
+    def test_radial_s2(self):
+        lam, l3 = 17.3, F(7, 2)
+        self._assert_matches(
+            radial_problem_s2(lam, l3),
+            lambda x: (lam - 0.25) / math.sin(x)**2
+            + (float(l3)**2 - 0.25) / math.cos(x)**2 - 0.25)
+
+    def test_radial_h2(self):
+        lam, l3 = 9.0, F(13, 2)
+        self._assert_matches(
+            radial_problem_h2(lam, l3, 30.0),
+            lambda x: (lam - 0.25) / math.sinh(x)**2
+            - (float(l3)**2 - 0.25) / math.cosh(x)**2 + 0.25)
+
+    def test_constant_potential_broadcast(self):
+        from pseudosphere.specsolver import _eigs_on_grid
+        shifted = SLProblem(potential=lambda x: 3.0, x0=0.0, x1=math.pi,
+                            singular_left=False, singular_right=False)
+        free = SLProblem(potential=lambda x: 0.0, x0=0.0, x1=math.pi,
+                         singular_left=False, singular_right=False)
+        got = _eigs_on_grid(shifted, 0.0, math.pi, 255, 3)
+        want = _eigs_on_grid(free, 0.0, math.pi, 255, 3) + 3.0
+        assert got.shape == (3,)
+        assert max(abs(got - want)) <= 1e-12 * max(abs(want))
+
+    def test_scalar_only_potential_fails_loudly(self):
+        prob = SLProblem(potential=lambda x: math.sin(x) + 1.0, x0=0.0,
+                         x1=math.pi, singular_left=False, singular_right=False)
+        with pytest.raises(TypeError):
+            solve_sturm_liouville(prob, GridSpec(nodes=128, levels=2), 1)
 
 
 class TestPdeSpectrum:
