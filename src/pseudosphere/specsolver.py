@@ -81,15 +81,34 @@ class SLProblem:
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Finite-difference grids of solve_sturm_liouville.
+
+    `nodes` is the number of intervals of the finest grid.  Refinement
+    level k = 0..levels-1 has coarsest * 2^k intervals, coarsest =
+    nodes // 2^(levels-1) >= 64, so the spacing halves exactly between
+    levels, as the Richardson extrapolation assumes.  `offsets` are two
+    distinct endpoint-truncation offsets, fractions of the interval length
+    in [0, 1/2), from which the levels are extrapolated to zero offset."""
     nodes: int = 1024
-    offsets: tuple = (1e-5, 2e-5)   # truncation offsets (fractions of length)
+    offsets: tuple = (1e-5, 2e-5)
     levels: int = 3                 # Richardson refinement levels
 
     def __post_init__(self):
-        if self.nodes < 64:
-            raise ValueError("node count must be >= 64")
         if self.levels < 2:
             raise ValueError("need >= 2 refinement levels")
+        if self.coarsest < 64:
+            raise ValueError(
+                f"the coarsest grid nodes // 2^(levels-1) = {self.coarsest} "
+                "must have >= 64 intervals")
+        if (len(self.offsets) != 2 or self.offsets[0] == self.offsets[1]
+                or not all(0 <= e < 0.5 for e in self.offsets)):
+            raise ValueError(f"offsets must be two distinct values in "
+                             f"[0, 1/2), got {self.offsets!r}")
+
+    @property
+    def coarsest(self) -> int:
+        """Number of intervals of the coarsest refinement level."""
+        return self.nodes // 2**(self.levels - 1)
 
 
 def _eigs_on_grid(prob: SLProblem, a, b, n, count):
@@ -104,22 +123,25 @@ def _eigs_on_grid(prob: SLProblem, a, b, n, count):
 
 
 def _richardson(table):
-    """Eliminate h^2, h^4, ... error terms; rows ordered coarse -> fine."""
-    T = [np.asarray(t, dtype=float) for t in table]
-    for j in range(1, len(T)):
+    """The last two entries of the last row of the Romberg table: the
+    estimates that eliminate all, and all but the highest, of the h^2,
+    h^4, ... error terms.  Rows are ordered coarse -> fine, each on half
+    the spacing of the one before."""
+    row = [np.asarray(t, dtype=float) for t in table]
+    for j in range(1, len(row)):
+        prev = row[-1]
         fac = 4.0**j
-        T = [(fac * T[i + 1] - T[i]) / (fac - 1.0) for i in range(len(T) - j)] \
-            + T[len(T) - j:]
-        T = T[:len(table) - j]
-    return T[0]
+        row = [(fac * row[i + 1] - row[i]) / (fac - 1.0)
+               for i in range(len(row) - 1)]
+    return row[0], prev
 
 
 def solve_sturm_liouville(prob: SLProblem, grid: GridSpec, count: int,
                           tol: float = 1e-6) -> list[float]:
     """Lowest `count` eigenvalues, Richardson-extrapolated across the
     refinement levels and linearly extrapolated in the truncation offset.
-    Raises ConvergenceError if the relative drift between the two finest
-    refinement estimates exceeds tol."""
+    Raises ConvergenceError if the relative drift between the two
+    highest-order Richardson estimates exceeds tol."""
     if count < 1:
         raise ValueError("count must be >= 1")
     length = prob.x1 - prob.x0
@@ -128,11 +150,9 @@ def solve_sturm_liouville(prob: SLProblem, grid: GridSpec, count: int,
     for eps_frac in grid.offsets:
         a = prob.x0 + (eps_frac * length if prob.singular_left else 0.0)
         b = prob.x1 - (eps_frac * length if prob.singular_right else 0.0)
-        ns = [max(64, grid.nodes // 2**(grid.levels - 1 - k))
-              for k in range(grid.levels)]
-        table = [_eigs_on_grid(prob, a, b, n, count) for n in ns]
-        fine = _richardson(table)
-        prev = _richardson(table[:-1]) if len(table) > 2 else table[-1]
+        table = [_eigs_on_grid(prob, a, b, grid.coarsest * 2**k - 1, count)
+                 for k in range(grid.levels)]
+        fine, prev = _richardson(table)
         scale = np.maximum(np.abs(fine), 1.0)
         drift = max(drift, float(np.max(np.abs(fine - prev) / scale)))
         per_offset.append(fine)
@@ -181,9 +201,13 @@ def _adaptive_L(lam, l3, grid, count=1, start=10.0, cap=60.0):
 
     A bound state at energy E decays like exp(-sqrt(1/4 - E) xi); the
     probe solve at a moderate domain supplies the rates, and the final
-    length keeps the truncation error below the discretization error."""
+    length keeps the truncation error below the discretization error.
+    The probe uses two levels and a quarter of grid's nodes, at least 256,
+    so its coarsest level has >= 128 intervals for every valid grid."""
+    probe = GridSpec(nodes=max(256, grid.nodes // 4), offsets=grid.offsets,
+                     levels=2)
     vals = np.array(solve_sturm_liouville(
-        radial_problem_h2(lam, l3, start), grid, count, tol=float("inf")))
+        radial_problem_h2(lam, l3, start), probe, count, tol=float("inf")))
     bound = vals[vals < H2_THRESHOLD - 1e-6]
     if len(bound) == 0:
         return start
@@ -213,9 +237,7 @@ def pde_spectrum(surface: str, l, counts=(3, 3),
             prob = radial_problem_s2(lam, l3)
             Es = solve_sturm_liouville(prob, grid, n_count)
         else:
-            L = _adaptive_L(lam, l3, GridSpec(nodes=max(256, grid.nodes // 4),
-                                              offsets=grid.offsets, levels=2),
-                            count=n_count)
+            L = _adaptive_L(lam, l3, grid, count=n_count)
             prob = radial_problem_h2(lam, l3, L)
             try:
                 Es = solve_sturm_liouville(prob, grid, n_count)

@@ -100,6 +100,41 @@ class TestSolver:
             solve_sturm_liouville(prob, GridSpec(nodes=128, levels=2), 1,
                                   tol=1e-14)
 
+    def test_richardson_levels_halve_the_spacing(self):
+        # with h halving exactly, the extrapolated angular levels of
+        # l = (1/2, 5/2) lie within 2e-9 (relative) of (l1 + l2 + 2m + 1)^2
+        l1, l2 = F(1, 2), F(5, 2)
+        vals = solve_sturm_liouville(angular_problem(l1, l2),
+                                     GridSpec(nodes=2048), 3)
+        for m, got in enumerate(vals):
+            want = float((l1 + l2 + 2 * m + 1)**2)
+            assert abs(got - want) <= 2e-9 * want
+
+    def test_grid_levels_halve_nodes(self):
+        grid = GridSpec(nodes=2048, levels=3)
+        assert grid.coarsest == 512
+
+    def test_grid_rejects_clamped_levels(self):
+        # 256 // 2^4 = 16 intervals: the coarse levels would be clamped
+        with pytest.raises(ValueError):
+            GridSpec(nodes=256, levels=5)
+        assert GridSpec(nodes=256, levels=3).coarsest == 64
+
+    @pytest.mark.parametrize("offsets", [(1e-5, 1e-5), (1e-5,),
+                                         (1e-5, 2e-5, 3e-5), (-1e-5, 1e-5),
+                                         (1e-5, 0.5), (float("nan"), 1e-5)])
+    def test_grid_rejects_bad_offsets(self, offsets):
+        with pytest.raises(ValueError):
+            GridSpec(offsets=offsets)
+
+    def test_grid_accepts_zero_offset(self):
+        assert GridSpec(offsets=(0.0, 1e-5)).offsets == (0.0, 1e-5)
+
+    def test_probe_grid_valid_for_smallest_grid(self):
+        from pseudosphere.specsolver import _adaptive_L
+        L = _adaptive_L(4.0, F(13, 2), GridSpec(nodes=128, levels=2), count=2)
+        assert 10.0 <= L <= 60.0
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(nodes=32)
