@@ -177,6 +177,39 @@ class TestPdeCheck:
         report = json.loads(out.read_text())
         assert all(r["passed"] for r in report["records"])
 
+    def test_clamped_levels_exit_2(self):
+        assert run(["pde-check", "--surface", "s2", "--l", "1/2,1/2,1/2",
+                    "--grid", "256", "--levels", "5"]) == 2
+
+    def test_vacuous_exit_1(self, tmp_path):
+        out = tmp_path / "pde.json"
+        assert run(["pde-check", "--surface", "h2", "--l", "1/2,1/2,2",
+                    "--grid", "512", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["vacuous"] and report["records"] == []
+
+    @pytest.mark.parametrize("surface,l,E", [("h2", "1/2,1/2,13/2", -5.0),
+                                             ("s2", "1/2,1/2,1/2", 20.0)])
+    def test_spurious_level_fails(self, tmp_path, monkeypatch, surface, l, E):
+        from pseudosphere import specsolver
+        solve = specsolver.pde_spectrum
+
+        def with_extra_level(*args, **kwargs):
+            extra = specsolver.SpectrumLevel(E=E, n=0, m=0, P=0, degeneracy=1,
+                                             method="numeric")
+            return solve(*args, **kwargs) + [extra]
+
+        monkeypatch.setattr(specsolver, "pde_spectrum", with_extra_level)
+        out = tmp_path / "pde.json"
+        assert run(["pde-check", "--surface", surface, "--l", l,
+                    "--grid", "1024", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        spurious = [r for r in report["records"] if r["E_analytic"] is None]
+        assert [(r["E_numeric"], r["passed"]) for r in spurious] == [(E, False)]
+        assert not report["vacuous"]
+        assert all(r["passed"] for r in report["records"]
+                   if r["E_analytic"] is not None)
+
 
 class TestCrossCheck:
     def test_h2_unique_match(self, tmp_path):
