@@ -30,6 +30,8 @@ class PhasePoly(TermDict):
     __slots__ = ()
     _add = staticmethod(add)
     _scale = staticmethod(mul)
+    _parts = staticmethod(lambda c: ((0, c),))
+    _whole = staticmethod(lambda parts: parts[0])
 
     @classmethod
     def term(cls, dim, coeff, smon: Mono = None, pmon: Mono = None) -> "PhasePoly":

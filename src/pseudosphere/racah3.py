@@ -27,7 +27,9 @@ from .weylops import (
     compose,
     commutator,
     anticommutator,
+    reduce_mod_constraint,
     specialize_hbar,
+    _products,
 )
 from .model import ModelParams, _closes, build_H, build_Q, discover_linear_relation
 
@@ -136,12 +138,12 @@ def verify_daskaloyannis_form(metric: Metric, params: ModelParams,
     k = structure_constants(params, convention)
     r = abc_realization(metric, params)
     A, B, C, H = r.A, r.B, r.C, r.H
+    AA, BB, AB = compose(A, A), compose(B, B), anticommutator(A, B)
     delta = _hlin_op(k.delta, H)
-    rhs_ac = (compose(A, A).scale(k.alpha) + anticommutator(A, B).scale(k.gamma)
+    rhs_ac = (AA.scale(k.alpha) + AB.scale(k.gamma)
               + compose(delta, A) + B.scale(k.epsilon) + _hlin_op(k.zeta, H))
     ok_ac = _closes(commutator(A, C) - rhs_ac, metric)[0]
-    rhs_bc = (compose(A, A).scale(k.a_const) - compose(B, B).scale(k.gamma)
-              - anticommutator(A, B).scale(k.alpha)
+    rhs_bc = (AA.scale(k.a_const) - BB.scale(k.gamma) - AB.scale(k.alpha)
               + compose(_hlin_op(k.d_const, H), A)
               - compose(delta, B) + _hlin_op(k.z_const, H))
     ok_bc = _closes(commutator(B, C) - rhs_bc, metric)[0]
@@ -195,40 +197,76 @@ def casimir_operator(metric: Metric, params: ModelParams) -> WeylOp:
 
 
 def _casimir_expansion(r: ABCRealization, k: QuadraticAlgebraConstants) -> WeylOp:
+    """K = C^2 - alpha {A^2, B} - gamma {A, B^2} + (alpha gamma - delta) {A, B}
+    + (gamma^2 - epsilon) B^2 + (gamma delta - 2 zeta) B + (2a/3) A^3
+    + (d + a gamma/3 + alpha^2) A^2 + (a epsilon/3 + alpha delta + 2z) A,
+    with delta, d, zeta, z linear in H.
+
+    A^2, B^2 and {A, B} are built once.  The H-linear parts of the
+    coefficients are collected, so that H multiplies from the left once,
+    and the large products are summed in one integer accumulator
+    (``weylops._products``), each coefficient applied to the smaller
+    operand."""
     A, B, C, H = r.A, r.B, r.C, r.H
-    delta = _hlin_op(k.delta, H)
-    dd = _hlin_op(k.d_const, H)
-    zeta = _hlin_op(k.zeta, H)
-    z = _hlin_op(k.z_const, H)
-    one = lambda c: WeylOp.const(3, c)
-    K = compose(C, C)
-    K -= anticommutator(compose(A, A), B).scale(k.alpha)
-    K -= anticommutator(A, compose(B, B)).scale(k.gamma)
-    K += compose(one(k.alpha * k.gamma) - delta, anticommutator(A, B))
-    K += compose(B, B).scale(k.gamma * k.gamma - k.epsilon)
-    K += compose(delta.scale(k.gamma) - zeta.scale(2), B)
-    K += compose(A, compose(A, A)).scale(2 * k.a_const / 3)
-    K += compose(dd + one(k.a_const * k.gamma / 3 + k.alpha * k.alpha),
-                 compose(A, A))
-    K += compose(one(k.a_const * k.epsilon / 3) + delta.scale(k.alpha)
-                 + z.scale(2), A)
-    return K
+    AA, BB, AB = compose(A, A), compose(B, B), anticommutator(A, B)
+    al, ga, a = k.alpha, k.gamma, k.a_const
+    (de0, de1), (d0, d1), (ze0, ze1), (z0, z1) = k.delta, k.d_const, k.zeta, k.z_const
+    # the parts of the coefficients of {A, B}, B^2, B, A^2 and A free of H
+    free = (AB.scale(al * ga - de0) + BB.scale(ga * ga - k.epsilon)
+            + B.scale(ga * de0 - 2 * ze0) + AA.scale(d0 + a * ga / 3 + al * al)
+            + A.scale(a * k.epsilon / 3 + al * de0 + 2 * z0))
+    # and the parts linear in H: -delta {A, B} + (gamma delta - 2 zeta) B
+    # + d A^2 + (alpha delta + 2 z) A
+    linear = (AB.scale(-de1) + B.scale(ga * de1 - 2 * ze1) + AA.scale(d1)
+              + A.scale(al * de1 + 2 * z1))
+    pairs = [(C, C, 0), (AA.scale(-al), B, 1), (A, BB.scale(-ga), 1),
+             (H, linear, 0), (free, WeylOp.const(3, 1), 0)]
+    if a:
+        pairs.append((A.scale(2 * a / 3), AA, 0))
+    return _products(*pairs)
+
+
+def _tangent(Y: WeylOp, metric: Metric) -> bool:
+    """[q, Y] = 0 exactly, q = sum_i g_ii s_i^2: Y maps (q+1)·W into
+    itself, so [(q+1) X, Y] = (q+1)[X, Y]."""
+    q = WeylOp.zero(metric.dim)
+    for i, g in enumerate(metric.diag):
+        q += WeylOp.coord(metric.dim, i, 2).scale(g)
+    return commutator(q, Y).is_zero()
+
+
+def _central_mod_constraint(Kn: WeylOp, Y: WeylOp, metric: Metric) -> bool:
+    """[K, Y] in (q+1)·W, decided on Kn, the normal form of K modulo the
+    quadric.  Each rewrite step of the reduction removes a term
+    (q+1)·(g_dd s^A' D^B), so K = Kn + (q+1) X; for Y tangent to the
+    quadric ([q, Y] = 0 exactly), [K, Y] = [Kn, Y] + (q+1)[X, Y], and
+    [K, Y] is in (q+1)·W exactly when [Kn, Y] is.  A Y that is not
+    tangent fails: there the shortcut proves nothing."""
+    return _tangent(Y, metric) and _closes(commutator(Kn, Y), metric)[0]
 
 
 def verify_casimir(metric: Metric, params: ModelParams) -> dict:
     """Three independent exact checks certifying the (alpha*gamma - delta)
-    resolution: operator equality with the realized K(H), and centrality
-    with respect to A and B."""
+    resolution: operator equality with the realized K(H) modulo the
+    quadric, and centrality with respect to A and B modulo the quadric.
+
+    All three read Kn, the normal form of the expanded K modulo the
+    quadric (K - Kn is in (q+1)·W).  equals_realized tests Kn - K(H),
+    which is in (q+1)·W exactly when K - K(H) is.  central_A and
+    central_B test [Kn, A] and [Kn, B], which is exact because A and B
+    are tangent to the quadric; that tangency, [q, A] = [q, B] = 0, is
+    checked as an ambient zero in the same call, and a failure makes the
+    centrality verdict false (``_central_mod_constraint``)."""
     r = abc_realization(metric, params)
     ce = casimir(params)
-    K = _casimir_expansion(r, ce.constants)
+    Kn = reduce_mod_constraint(_casimir_expansion(r, ce.constants), metric)
     H = r.H
     K_real = (compose(H, H).scale(ce.realized_form[2])
               + H.scale(ce.realized_form[1])
               + WeylOp.const(3, ce.realized_form[0]))
-    eq = _closes(K - K_real, metric)[0]
-    central_A = _closes(commutator(K, r.A), metric)[0]
-    central_B = _closes(commutator(K, r.B), metric)[0]
+    eq = _closes(Kn - K_real, metric)[0]
+    central_A = _central_mod_constraint(Kn, r.A, metric)
+    central_B = _central_mod_constraint(Kn, r.B, metric)
     return {"signature": metric.signature,
             "equals_realized": eq,
             "central_A": central_A,

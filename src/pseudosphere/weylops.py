@@ -97,8 +97,11 @@ class TermDict:
 
     The base of ``WeylOp`` and ``phase.PhasePoly``: the linear arithmetic
     over a scalar ring given by ``_add(c, c2)`` and ``_scale(c, rational)``,
-    with zero scalars falsy and pruned.  Instances are treated as
-    immutable values; all arithmetic returns new objects.
+    with zero scalars falsy and pruned.  A scalar is a vector of rational
+    components over Q: ``_parts(c)`` lists its nonzero (part, rational)
+    pairs and ``_whole({part: rational})`` rebuilds it; the constraint
+    rewrite reads and writes scalars only through these.  Instances are
+    treated as immutable values; all arithmetic returns new objects.
     """
 
     __slots__ = ("dim", "terms")
@@ -165,6 +168,8 @@ class WeylOp(TermDict):
     __slots__ = ()
     _add = staticmethod(_hp_add)
     _scale = staticmethod(_hp_scale)
+    _parts = staticmethod(dict.items)  # (h power, coefficient)
+    _whole = staticmethod(dict)
 
     # -- constructors -------------------------------------------------------
 
@@ -265,43 +270,54 @@ def _integer_terms(op: WeylOp):
                  for (A, B), hp in op.terms.items()]
 
 
-def _products(lhs: WeylOp, rhs: WeylOp, sign: int = 0) -> WeylOp:
-    """lhs o rhs + sign * rhs o lhs in canonical normal order (sign 0:
-    lhs o rhs alone): the kernel of compose and of both brackets.
+def _products(*pairs: tuple[WeylOp, WeylOp, int]) -> WeylOp:
+    """The sum over (lhs, rhs, sign) of lhs o rhs + sign * rhs o lhs in
+    canonical normal order (sign 0: lhs o rhs alone): the kernel of
+    compose and of both brackets, and of a sum of such products.
 
     A term pair (A, B), (C, D) gives s^(A+C-j) D^(B+D-j) in both orders,
     so its Leibniz terms D^B s^C and sign * D^D s^A merge by j, and its
     scalar product is formed once.  Products accumulate as integers over
-    dl * dr, the common denominators of the operands; each output scalar
-    is divided once, as a Fraction."""
-    lhs._check(rhs)
-    dl, left = _integer_terms(lhs)
-    dr, right = _integer_terms(rhs)
+    one common denominator, the lcm of dl * dr over the pairs (dl, dr the
+    common denominators of the operands); each output scalar is divided
+    once, as a Fraction."""
+    first = pairs[0][0]
+    factors = []
+    for lhs, rhs, sign in pairs:
+        first._check(lhs)
+        lhs._check(rhs)
+        dl, left = _integer_terms(lhs)
+        dr, right = _integer_terms(rhs)
+        factors.append((dl * dr, left, right, sign))
+    den = lcm(*(d for d, *_ in factors))
     acc: dict[tuple[Mono, Mono], dict[int, int]] = {}
-    for A, B, ca in left:
-        for C, D, cb in right:
-            shifts = _leibniz_both(B, C, D, A, sign) if sign else _leibniz(B, C)
-            if not shifts:
-                continue
-            base = [(i + j, u * v) for i, u in ca for j, v in cb]
-            AC = tuple(map(add, A, C))
-            BD = tuple(map(add, B, D))
-            for jvec, cf in shifts:
-                hp = acc.setdefault((tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec))), {})
-                for k, n in base:
-                    hp[k] = hp.get(k, 0) + cf * n
-    den = dl * dr
+    for d, left, right, sign in factors:
+        f = den // d
+        for A, B, ca in left:
+            if f != 1:
+                ca = [(i, u * f) for i, u in ca]
+            for C, D, cb in right:
+                shifts = _leibniz_both(B, C, D, A, sign) if sign else _leibniz(B, C)
+                if not shifts:
+                    continue
+                base = [(i + j, u * v) for i, u in ca for j, v in cb]
+                AC = tuple(map(add, A, C))
+                BD = tuple(map(add, B, D))
+                for jvec, cf in shifts:
+                    hp = acc.setdefault((tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec))), {})
+                    for k, n in base:
+                        hp[k] = hp.get(k, 0) + cf * n
     out = {}
     for key, hp in acc.items():
         hp = {k: Fraction(n, den) for k, n in hp.items() if n}
         if hp:
             out[key] = hp
-    return WeylOp(lhs.dim, out)
+    return WeylOp(first.dim, out)
 
 
 def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
     """Operator product lhs o rhs in canonical normal order."""
-    return _products(lhs, rhs)
+    return _products((lhs, rhs, 0))
 
 
 def commutator(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
@@ -311,14 +327,14 @@ def commutator(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
     The j = 0 Leibniz term of a term pair, c_x c_y s^(A+C) D^(B+D), is the
     same in both orders, because the h-polynomial scalars are central and
     commute with every s and D: it cancels exactly and is never formed."""
-    return _products(lhs, rhs, -1)
+    return _products((lhs, rhs, -1))
 
 
 def anticommutator(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
     """{lhs, rhs} = lhs o rhs + rhs o lhs in one pass, without forming
     either product; the j = 0 Leibniz terms of the two orders are equal
     (central scalars), so they add to twice that term."""
-    return _products(lhs, rhs, 1)
+    return _products((lhs, rhs, 1))
 
 
 def divide_by_hbar(op: WeylOp) -> WeylOp:
@@ -403,14 +419,80 @@ def shift_coord(op: TermDict, axis: int, power: int) -> TermDict:
     return type(op)(op.dim, out)
 
 
-def _normal_forms(ops: list, metric: Metric) -> list:
-    """Normal forms modulo the quadric of ops, after one common even power
-    of s_d (a unit commuting with q+1, and linear) clears their negative
-    pivot powers."""
+@lru_cache(maxsize=8192)
+def _rewrite_steps(head: Mono, diag: Mono) -> tuple[tuple[Mono, int], ...]:
+    """s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) acting on s^head (the
+    coordinates before s_d): the (image head, +-1 coefficient) pairs."""
+    gdd = diag[-1]
+    return ((head, -gdd),) + tuple(
+        (head[:i] + (head[i] + 2,) + head[i + 1:], -gdd * g) for i, g in enumerate(diag[:-1]))
+
+
+def _reduced_numerators(op: TermDict, metric: Metric, shift: int = 0):
+    """(den, levels) of the normal form modulo the quadric of
+    s_d^shift · op: levels[e] maps each (B, part) to {A without its s_d
+    exponent e: integer numerator over den}, e < 2 throughout, zero
+    numerators possible; ``part`` indexes a scalar's rational components
+    (``TermDict._parts``).
+
+    Level by level in e, from the top: s_d^2 is replaced once
+    (``_rewrite_steps``), whose coefficients are +-1, so each image is an
+    integer add into level e - 2 and work is linear in e.  den is the lcm
+    of op's denominators; the shift is applied to the exponents as they
+    are read."""
+    d = op.dim
+    if metric.dim != d:
+        raise DimensionMismatch(f"metric dim {metric.dim} != {d}")
+    last = d - 1
+    parts = op._parts
+    den = lcm(*(v.denominator for c in op.terms.values() for _, v in parts(c)))
+    levels: dict[int, dict] = {}
+    for (A, B), c in op.terms.items():
+        level = levels.setdefault(A[last] + shift, {})
+        for part, v in parts(c):
+            level.setdefault((B, part), {})[A[:last]] = v.numerator * (den // v.denominator)
+    diag = metric.diag
+    for e in range(max(levels, default=0), 1, -1):
+        src = levels.pop(e, None)
+        if not src:
+            continue
+        below = levels.setdefault(e - 2, {})
+        for bp, row in src.items():
+            out = below.setdefault(bp, {})
+            for head, n in row.items():
+                if n:
+                    for target, sg in _rewrite_steps(head, diag):
+                        out[target] = out.get(target, 0) + sg * n
+    return den, levels
+
+
+def _from_numerators(cls, dim: int, den: int, levels: dict) -> TermDict:
+    """The canonical cls operator of ``_reduced_numerators``' output:
+    each nonzero scalar component divided once."""
+    terms: dict = {}
+    for e, level in levels.items():
+        for (B, part), row in level.items():
+            for head, n in row.items():
+                if n:
+                    terms.setdefault((head + (e,), B), {})[part] = Fraction(n, den)
+    whole = cls._whole
+    return cls(dim, {key: whole(ps) for key, ps in terms.items()})
+
+
+def _pivot_shift(ops: list) -> int:
+    """The least even power of s_d (a unit commuting with q+1) that clears
+    every negative pivot power of ops."""
     last = ops[0].dim - 1
     low = min((A[last] for op in ops for A, _ in op.terms), default=0)
-    shift = 2 * ((-low + 1) // 2) if low < 0 else 0
-    return [reduce_mod_constraint(shift_coord(op, last, shift), metric) for op in ops]
+    return 2 * ((-low + 1) // 2) if low < 0 else 0
+
+
+def _normal_forms(ops: list, metric: Metric) -> list:
+    """Normal forms modulo the quadric of ops, after one common pivot
+    shift (``_pivot_shift``)."""
+    shift = _pivot_shift(ops)
+    return [_from_numerators(type(op), op.dim, *_reduced_numerators(op, metric, shift))
+            for op in ops]
 
 
 def vanishes_mod_constraint(op: TermDict, metric: Metric) -> bool:
@@ -420,8 +502,12 @@ def vanishes_mod_constraint(op: TermDict, metric: Metric) -> bool:
     q+1.  A unit s_d^(2k), commuting with q+1, clears negative pivot
     powers; q+1 is then monic of degree 2 in s_d up to the sign g_dd, so
     the remainder per derivative (or momentum) monomial, the normal form,
-    is unique, and zero exactly on members."""
-    return _normal_forms([op], metric)[0].is_zero()
+    is unique, and zero exactly on members.  Decided on integer
+    numerators over one common denominator (no Fraction is built); a
+    common positive denominator does not change which remainders vanish."""
+    levels = _reduced_numerators(op, metric, _pivot_shift([op]))[1]
+    return not any(n for level in levels.values() for row in level.values()
+                   for n in row.values())
 
 
 def reduce_mod_constraint(op: TermDict, metric: Metric) -> TermDict:
@@ -432,32 +518,7 @@ def reduce_mod_constraint(op: TermDict, metric: Metric) -> TermDict:
     rewritten via s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) until none
     remain; coefficients stay exact and the result is idempotent.  With no
     negative s_d exponent it is the unique remainder modulo (q+1)·W.
-    Level by level in the s_d exponent e, from the top: s_d^2 is replaced
-    once and the images merge into level e - 2, so work is linear in e.
+    The rewrite runs on integer numerators over one common denominator
+    (``_reduced_numerators``); each output scalar is divided once.
     """
-    d = op.dim
-    scale, add = op._scale, op._add
-    if metric.dim != d:
-        raise DimensionMismatch(f"metric dim {metric.dim} != {d}")
-    last = d - 1
-    gdd = metric.diag[last]
-    # s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) as (exponent step, rational)
-    repl = [(tuple(-2 if k == last else 0 for k in range(d)), Fraction(-gdd))]
-    for i in range(last):
-        repl.append((tuple(2 if k == i else -2 if k == last else 0 for k in range(d)),
-                     Fraction(-gdd * metric.diag[i])))
-    levels: dict[int, dict] = {}
-    for key, c in op.terms.items():
-        levels.setdefault(key[0][last], {})[key] = c
-    for e in range(max(levels, default=0), 1, -1):
-        below = levels.setdefault(e - 2, {})
-        for (A, B), c in levels.pop(e, {}).items():
-            for step, r in repl:
-                key = (tuple(a + s for a, s in zip(A, step)), B)
-                old = below.get(key)
-                new = scale(c, r) if old is None else add(old, scale(c, r))
-                if new:
-                    below[key] = new
-                else:
-                    below.pop(key, None)
-    return type(op)(d, {key: c for bucket in levels.values() for key, c in bucket.items() if c})
+    return _from_numerators(type(op), op.dim, *_reduced_numerators(op, metric))

@@ -103,6 +103,29 @@ class TestLevelwiseNormalFormCl:
         assert reduce_mod_constraint_cl(once, metric) == once
 
 
+@pytest.mark.parametrize("metric", [
+    Metric(diag) for diag in itertools.product((1, -1), repeat=3)
+] + [Metric((1, -1, 1, -1))], ids=lambda m: str(m.diag))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_matches_reference_worklist_cl(metric, data):
+    # the shared integer rewrite on phase-space polynomials, with and
+    # without the pivot shift, against the rational worklist key for key
+    from pseudosphere.weylops import _normal_forms, _pivot_shift, vanishes_mod_constraint
+    # s_d exponents up to 8, so that the shifted ones stay at most 12
+    f = PhasePoly(metric.dim, {key: c for key, c in data.draw(pivot_heavy_polys(metric.dim)).terms.items()
+                               if key[0][-1] <= 8})
+    got = reduce_mod_constraint_cl(f, metric)
+    assert got.terms == reference_reduce_cl(f, metric).terms
+    assert all(type(c) is F and c for c in got.terms.values())
+    shift = _pivot_shift([f])
+    shifted = PhasePoly(f.dim, {(A[:-1] + (A[-1] + shift,), B): c
+                                for (A, B), c in f.terms.items()})
+    want = reference_reduce_cl(shifted, metric)
+    assert _normal_forms([f], metric)[0].terms == want.terms
+    assert vanishes_mod_constraint(f, metric) == want.is_zero()
+
+
 class TestBracketExamples:
     def test_canonical_pair(self):
         assert poisson_bracket(sc(0), pm(0)) == PhasePoly.term(3, 1)

@@ -359,3 +359,111 @@ class TestMatching:
         assert rep["vacuous"]
         # every pattern with no solution matches the empty target: vacuous
         assert not rep["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the Casimir certificate on the normal form of K
+
+def reference_casimir_expansion(r, k):
+    """The expansion term by term as the generator form reads, each
+    product built where it appears: the oracle for _casimir_expansion."""
+    from pseudosphere.weylops import WeylOp, compose, anticommutator
+    A, B, C, H = r.A, r.B, r.C, r.H
+    lin = lambda c: WeylOp.const(3, c[0]) + H.scale(c[1])
+    delta, dd, zeta, z = lin(k.delta), lin(k.d_const), lin(k.zeta), lin(k.z_const)
+    one = lambda c: WeylOp.const(3, c)
+    K = compose(C, C)
+    K -= anticommutator(compose(A, A), B).scale(k.alpha)
+    K -= anticommutator(A, compose(B, B)).scale(k.gamma)
+    K += compose(one(k.alpha * k.gamma) - delta, anticommutator(A, B))
+    K += compose(B, B).scale(k.gamma * k.gamma - k.epsilon)
+    K += compose(delta.scale(k.gamma) - zeta.scale(2), B)
+    K += compose(A, compose(A, A)).scale(2 * k.a_const / 3)
+    K += compose(dd + one(k.a_const * k.gamma / 3 + k.alpha * k.alpha),
+                 compose(A, A))
+    K += compose(one(k.a_const * k.epsilon / 3) + delta.scale(k.alpha)
+                 + z.scale(2), A)
+    return K
+
+
+def reference_verify_casimir(metric, params, K):
+    """The direct route: K itself, not its normal form, against K(H) and
+    bracketed with A and B."""
+    from pseudosphere.model import _closes
+    from pseudosphere.weylops import WeylOp, compose
+    r = abc_realization(metric, params)
+    ce = casimir(params)
+    H = r.H
+    K_real = (compose(H, H).scale(ce.realized_form[2]) + H.scale(ce.realized_form[1])
+              + WeylOp.const(3, ce.realized_form[0]))
+    eq = _closes(K - K_real, metric)[0]
+    cA = _closes(commutator(K, r.A), metric)[0]
+    cB = _closes(commutator(K, r.B), metric)[0]
+    return {"signature": metric.signature, "equals_realized": eq,
+            "central_A": cA, "central_B": cB, "passed": eq and cA and cB}
+
+
+ALL_DIAGS = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+             (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1)]
+
+
+class TestCasimirNormalForm:
+    def test_expansion_matches_reference(self):
+        rng = random.Random(1103)
+        for diag in ALL_DIAGS[::3]:
+            m, p = Metric(diag), random_params(rng)
+            r = abc_realization(m, p)
+            for conv in ("measured", "published"):
+                k = structure_constants(p, conv)
+                assert racah3._casimir_expansion(r, k).terms == \
+                    reference_casimir_expansion(r, k).terms
+
+    def test_matches_direct_route_on_every_signature(self):
+        rng = random.Random(1104)
+        for diag in ALL_DIAGS:
+            m, p = Metric(diag), random_params(rng)
+            K = casimir_operator(m, p)
+            got = verify_casimir(m, p)
+            assert got == reference_verify_casimir(m, p, K)
+            assert got["passed"], (diag, p.a)
+
+    @pytest.mark.parametrize("diag", [(1, -1, 1), (-1, -1, -1)])
+    def test_mutated_casimir_fails(self, diag, monkeypatch):
+        # K + B/3 is not central in A ([B, A] = -C), K + s_1^2 in neither;
+        # both differ from K(H): the verdicts equal the direct route's
+        from pseudosphere.weylops import WeylOp
+        m = Metric(diag)
+        p = ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
+        expand = racah3._casimir_expansion
+        for extra, want_B in ((lambda r: r.B.scale(F(1, 3)), True),
+                              (lambda r: WeylOp.coord(3, 0, 2), False)):
+            monkeypatch.setattr(racah3, "_casimir_expansion",
+                                lambda r, k: expand(r, k) + extra(r))
+            got = verify_casimir(m, p)
+            assert got == reference_verify_casimir(m, p, casimir_operator(m, p))
+            assert (got["equals_realized"], got["central_A"], got["central_B"],
+                    got["passed"]) == (False, False, want_B, False)
+
+    def test_non_tangent_operator_fails_the_gate(self):
+        # K = q + 1 reduces to 0, so [Kn, Y] = 0 for every Y; but
+        # Y = s_1 D_2 is not tangent, and [K, Y] = -2 g_2 s_1 s_2 is not in
+        # (q+1)·W: the tangency gate keeps the shortcut from passing it
+        from pseudosphere.model import _closes
+        from pseudosphere.weylops import WeylOp, compose, reduce_mod_constraint
+        for diag in ALL_DIAGS:
+            m = Metric(diag)
+            K = WeylOp.const(3, 1)
+            for i, g in enumerate(diag):
+                K += WeylOp.coord(3, i, 2).scale(g)
+            Kn = reduce_mod_constraint(K, m)
+            Y = compose(WeylOp.coord(3, 0), WeylOp.deriv(3, 1))
+            assert Kn.is_zero() and not racah3._tangent(Y, m)
+            assert not _closes(commutator(K, Y), m)[0]
+            assert not racah3._central_mod_constraint(Kn, Y, m)
+
+    def test_generators_are_tangent(self):
+        rng = random.Random(1105)
+        for diag in ALL_DIAGS:
+            m = Metric(diag)
+            r = abc_realization(m, random_params(rng))
+            assert racah3._tangent(r.A, m) and racah3._tangent(r.B, m)

@@ -25,6 +25,8 @@ from pseudosphere.weylops import (
     _falling,
     _hp_add,
     _hp_scale,
+    _normal_forms,
+    _pivot_shift,
 )
 
 
@@ -240,6 +242,33 @@ class TestLevelwiseNormalForm:
         elt = compose(_quadric_plus_one(metric), data.draw(pivot_heavy_ops(metric.dim)))
         assert vanishes_mod_constraint(elt, metric)
         assert not vanishes_mod_constraint(elt + WeylOp.const(metric.dim, 1), metric)
+
+
+def _shifted(op, power):
+    """s_d^power · op, exponents moved by hand (the pivot shift)."""
+    return type(op)(op.dim, {(A[:-1] + (A[-1] + power,), B): c
+                             for (A, B), c in op.terms.items()})
+
+
+@pytest.mark.parametrize("metric", PROPERTY_METRICS, ids=lambda m: str(m.diag))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_matches_reference_worklist(metric, data):
+    # the common pivot shift of _normal_forms, then the integer rewrite,
+    # against the Fraction worklist on the shifted operators, key for key
+    # s_d exponents up to 8, so that the shifted ones stay at most 12
+    ops = [WeylOp(metric.dim, {key: c for key, c in data.draw(pivot_heavy_ops(metric.dim)).terms.items()
+                               if key[0][-1] <= 8})
+           for _ in range(data.draw(st.integers(1, 3)))]
+    low = min((A[-1] for op in ops for A, _ in op.terms), default=0)
+    shift = 2 * ((-low + 1) // 2) if low < 0 else 0
+    for op, got in zip(ops, _normal_forms(ops, metric)):
+        want = reference_reduce(_shifted(op, shift), metric)
+        assert got.terms == want.terms
+        assert_canonical(got)
+        alone = reference_reduce(_shifted(op, _pivot_shift([op])), metric)
+        assert vanishes_mod_constraint(op, metric) == alone.is_zero()
+    assert reduce_mod_constraint(ops[0], metric).terms == reference_reduce(ops[0], metric).terms
 
 
 def _hp_mul(a, b):
