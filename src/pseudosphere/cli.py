@@ -244,8 +244,10 @@ def cmd_pde_check(args):
         analytic = analytic_spectrum_h2(args.l)
     else:
         analytic = analytic_spectrum_s2(args.l, max_levels=args.counts)
-    # every numeric group must match an analytic level; on S^2 the shells
-    # P >= counts are incomplete and lie beyond the analytic list
+    # every numeric group must match an analytic level with its
+    # degeneracy; on S^2 the shells P >= counts are incomplete and lie
+    # beyond the analytic list, and each shell P < counts has all P + 1
+    # levels
     groups = group_numeric([lv for lv in numeric
                             if args.surface == "h2" or lv.P < args.counts])
     records = []
@@ -256,7 +258,7 @@ def cmd_pde_check(args):
                   if abs(g[0] - target) <= 1e-3 * max(1.0, abs(target))), None)
         hit = None if i is None else groups[i]
         matched.add(i)
-        ok = hit is not None and (args.surface == "s2" or hit[1] == lv.degeneracy)
+        ok = hit is not None and hit[1] == lv.degeneracy
         records.append({"P": lv.P, "E_analytic": _rat(lv.E),
                         "E_numeric": None if hit is None else hit[0],
                         "multiplicity": None if hit is None else hit[1],

@@ -211,6 +211,27 @@ class TestPdeCheck:
                    if r["E_analytic"] is not None)
 
 
+    def test_s2_incomplete_shell_fails(self, tmp_path, monkeypatch):
+        # a complete S^2 shell P < counts has P + 1 levels: one level of the
+        # P = 2 shell dropped leaves multiplicity 2 against degeneracy 3
+        from pseudosphere import specsolver
+        solve = specsolver.pde_spectrum
+
+        def without_one_level(*args, **kwargs):
+            levels = solve(*args, **kwargs)
+            drop = next(lv for lv in levels if lv.P == 2)
+            return [lv for lv in levels if lv is not drop]
+
+        monkeypatch.setattr(specsolver, "pde_spectrum", without_one_level)
+        out = tmp_path / "pde.json"
+        assert run(["pde-check", "--surface", "s2", "--l", "1/2,1/2,1/2",
+                    "--grid", "1024", "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        assert [(r["P"], r["multiplicity"], r["degeneracy"], r["passed"])
+                for r in records] == [(0, 1, 1, True), (1, 2, 2, True),
+                                      (2, 2, 3, False)]
+
+
 class TestCrossCheck:
     def test_h2_unique_match(self, tmp_path):
         out = tmp_path / "x.json"

@@ -250,3 +250,54 @@ class TestPdeSpectrum:
     def test_bad_surface(self):
         with pytest.raises(ValueError):
             pde_spectrum("torus", L_S2)
+
+
+class TestH2ChannelSolve:
+    L = (F(5, 2), F(5, 2), F(23, 2))   # three bound levels, one above them
+
+    def test_one_solve_per_channel(self, monkeypatch):
+        # one angular solve, then per channel one probe (_adaptive_L) and
+        # one solve; before, a channel whose drift check failed was solved
+        # again with a looser tolerance
+        from pseudosphere import specsolver
+        calls = []
+        solve = specsolver.solve_sturm_liouville
+
+        def counted(prob, grid, count, tol=1e-6, below=math.inf):
+            calls.append((prob, count, tol, below))
+            return solve(prob, grid, count, tol, below)
+
+        monkeypatch.setattr(specsolver, "solve_sturm_liouville", counted)
+        grid = GridSpec(nodes=2048)
+        levels = pde_spectrum("h2", self.L, counts=(4, 4), grid=grid)
+        channels = [c for c in calls if c[3] < math.inf]
+        assert len(channels) == 4 and len(calls) == 1 + 2 * 4
+        # the kept levels equal the old route's bit for bit: every level
+        # solved with no drift check, then those below the threshold kept
+        want = []
+        for m, (prob, count, _, _) in enumerate(channels):
+            Es = solve(prob, grid, count, tol=math.inf)
+            want += [(n + m, E) for n, E in enumerate(E for E in Es
+                                                      if E < H2_THRESHOLD - 1e-6)]
+        assert [(lv.P, lv.E) for lv in levels] == sorted(want)
+        assert [(E, mult) for E, mult in group_numeric(levels)] == \
+            [(pytest.approx(float(lv.E), abs=1e-4), lv.degeneracy)
+             for lv in analytic_spectrum_h2(self.L)]
+
+    def test_kept_level_that_drifts_raises(self):
+        # on 512 intervals a bound level drifts by 2.5e-3
+        with pytest.raises(ConvergenceError, match="tolerance 1.00e-03"):
+            pde_spectrum("h2", self.L, counts=(4, 4),
+                         grid=GridSpec(nodes=512, levels=3))
+
+    def test_drift_checked_on_kept_levels_only(self):
+        # free particle on (0, pi): levels 1, 4, 9, each drifting above 1e-14
+        prob = SLProblem(potential=lambda x: 0.0, x0=0.0, x1=math.pi,
+                         singular_left=False, singular_right=False)
+        grid = GridSpec(nodes=128, levels=2)
+        assert solve_sturm_liouville(prob, grid, 3, tol=1e-14, below=0.5) == []
+        for below in (2.0, 5.0):
+            with pytest.raises(ConvergenceError):
+                solve_sturm_liouville(prob, grid, 3, tol=1e-14, below=below)
+        kept = solve_sturm_liouville(prob, grid, 3, tol=1.0, below=5.0)
+        assert kept == solve_sturm_liouville(prob, grid, 3, tol=1.0)[:2]
