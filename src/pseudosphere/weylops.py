@@ -410,15 +410,6 @@ def lp_eval(f: LaurentPoly, point) -> Fraction:
     return total
 
 
-def shift_coord(op: TermDict, axis: int, power: int) -> TermDict:
-    """Left-multiply by s_axis**power (a unit of the Laurent ring)."""
-    out = {}
-    for (A, B), c in op.terms.items():
-        A2 = tuple(a + power if i == axis else a for i, a in enumerate(A))
-        out[(A2, B)] = c
-    return type(op)(op.dim, out)
-
-
 @lru_cache(maxsize=8192)
 def _rewrite_steps(head: Mono, diag: Mono) -> tuple[tuple[Mono, int], ...]:
     """s_d^2 -> g_dd (-1 - sum_{i<d} g_ii s_i^2) acting on s^head (the
