@@ -47,10 +47,12 @@ from .racah3 import (
     rep_parameter_u,
     find_spectrum,
     match_spectrum_to_signature,
+    SpectrumLevel,
+    analytic_spectrum_h2,
+    analytic_spectrum_s2,
 )
 
-_SPECSOLVER_NAMES = ("SpectrumLevel", "SLProblem", "GridSpec", "ConvergenceError",
-                     "analytic_spectrum_h2", "analytic_spectrum_s2",
+_SPECSOLVER_NAMES = ("SLProblem", "GridSpec", "ConvergenceError",
                      "solve_sturm_liouville", "pde_spectrum")
 
 

@@ -27,6 +27,7 @@ from .model import (
     verify_relation,
 )
 from .phase import verify_classical_relation, correspondence_check
+from .racah3 import SURFACES, find_spectrum, match_spectrum_to_signature
 
 
 def _rat(x) -> str:
@@ -206,11 +207,9 @@ def _spectrum_rows(sols, flip):
 
 
 def cmd_racah_spectrum(args):
-    from .racah3 import find_spectrum
     params = ModelParams.from_l(args.l)
-    mode = args.signs
-    flip = -1 if mode == "s2" else 1
-    sols = find_spectrum(params, args.max_p, sign_mode=mode)
+    sols = find_spectrum(params, args.max_p, sign_mode=args.signs)
+    flip = SURFACES[args.signs][1] if args.signs in SURFACES else 1
     rows = _spectrum_rows(sols, flip)
     if args.out and args.out.endswith(".json"):
         _write_report(args.out, {"tool": "pseudosphere", "version": __version__,
@@ -230,9 +229,7 @@ def cmd_racah_spectrum(args):
 
 
 def cmd_pde_check(args):
-    from .specsolver import (GridSpec, pde_spectrum, group_numeric,
-                             analytic_spectrum_h2, analytic_spectrum_s2,
-                             ConvergenceError)
+    from .specsolver import GridSpec, pde_spectrum, group_numeric, ConvergenceError
     grid = GridSpec(nodes=args.grid, levels=args.levels)
     counts = (args.counts, args.counts)
     try:
@@ -240,16 +237,11 @@ def cmd_pde_check(args):
     except ConvergenceError as exc:
         print(f"pde-check: {exc}", file=sys.stderr)
         return 1
-    if args.surface == "h2":
-        analytic = analytic_spectrum_h2(args.l)
-    else:
-        analytic = analytic_spectrum_s2(args.l, max_levels=args.counts)
+    analytic = SURFACES[args.surface][2](args.l, max_levels=args.counts)
     # every numeric group must match an analytic level with its
-    # degeneracy; on S^2 the shells P >= counts are incomplete and lie
-    # beyond the analytic list, and each shell P < counts has all P + 1
-    # levels
-    groups = group_numeric([lv for lv in numeric
-                            if args.surface == "h2" or lv.P < args.counts])
+    # degeneracy; the shells P >= counts are incomplete and lie beyond
+    # the analytic list, and each shell P < counts has all P + 1 levels
+    groups = group_numeric([lv for lv in numeric if lv.P < args.counts])
     records = []
     matched = set()
     for lv in analytic:
@@ -278,7 +270,6 @@ def cmd_pde_check(args):
 
 
 def cmd_cross_check(args):
-    from .racah3 import match_spectrum_to_signature
     metric = Metric(args.signature)
     params = ModelParams.from_l(args.l)
     rep = match_spectrum_to_signature(metric, params, max_p=args.max_p)
@@ -313,14 +304,13 @@ def build_parser():
 
     p = sub.add_parser("racah-spectrum", help="algebraic spectrum table")
     p.add_argument("--l", type=_parse_rats, required=True)
-    p.add_argument("--signs", default="all",
-                   choices=["all", "h2", "s2"])
+    p.add_argument("--signs", default="all", choices=["all", *SURFACES])
     p.add_argument("--max-p", type=int, default=8)
     p.add_argument("--out")
     p.set_defaults(func=cmd_racah_spectrum)
 
     p = sub.add_parser("pde-check", help="numeric vs analytic PDE spectrum")
-    p.add_argument("--surface", required=True, choices=["h2", "s2"])
+    p.add_argument("--surface", required=True, choices=list(SURFACES))
     p.add_argument("--l", type=_parse_rats, required=True)
     p.add_argument("--grid", type=int, default=2048)
     p.add_argument("--levels", type=int, default=3)

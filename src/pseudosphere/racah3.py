@@ -35,9 +35,6 @@ from .model import ModelParams, _closes, build_H, build_Q, discover_linear_relat
 
 LEADING_COEFF = 824633720832  # = 256 * 3221225472 = 3 * 2**38
 
-H2_SIGNS = (-1, -1, 1)
-S2_SIGNS = (-1, -1, -1)
-
 HLin = tuple[Fraction, Fraction]  # c0 + c1 * h, h a formal central element
 
 
@@ -384,14 +381,62 @@ def _candidates(params, signs, max_p, flip):
     return out
 
 
+# ---------------------------------------------------------------------------
+# separation-of-variables spectra and the surface dictionary
+
+@dataclass(frozen=True)
+class SpectrumLevel:
+    E: object               # Fraction (analytic) or float (numeric)
+    n: int
+    m: int
+    P: int
+    degeneracy: int
+    method: str = "analytic"
+
+
+def analytic_spectrum_h2(l, max_levels=None) -> list[SpectrumLevel]:
+    """Discrete H^2 spectrum: E = 1/4 - (l3 - l1 - l2 - 2(P+1))^2 over all
+    P = n + m with l3 - l1 - l2 - 2(P+1) > 0, l_i read as |l_i| (H
+    depends on l_i^2 only); one level per P with degeneracy P + 1, at
+    most max_levels of them.  Finite (possibly empty) list."""
+    l1, l2, l3 = (abs(Fraction(x)) for x in l)
+    out = []
+    for P in itertools.count() if max_levels is None else range(max_levels):
+        k = l3 - l1 - l2 - 2 * (P + 1)
+        if k <= 0:
+            break
+        out.append(SpectrumLevel(E=Fraction(1, 4) - k * k, n=0, m=P, P=P,
+                                 degeneracy=P + 1))
+    return out
+
+
+def analytic_spectrum_s2(l, max_levels) -> list[SpectrumLevel]:
+    """S^2 spectrum: E = (l1 + l2 + l3 + 2(P+1))^2 - 1/4, l_i read as
+    |l_i|, one level per P = 0..max_levels-1 with degeneracy P + 1."""
+    s = sum(abs(Fraction(x)) for x in l)
+    return [SpectrumLevel(E=(s + 2 * (P + 1)) ** 2 - Fraction(1, 4), n=0, m=P,
+                          P=P, degeneracy=P + 1)
+            for P in range(max_levels)]
+
+
+H2_SIGNS = (-1, -1, 1)
+S2_SIGNS = (-1, -1, -1)
+
+# surface -> (sign pattern, global sign of H, closed-form spectrum): the
+# pattern's certified levels E with flip * Etilde < 0, times the global
+# sign, are the surface's separation-of-variables levels
+SURFACES = {"h2": (H2_SIGNS, 1, analytic_spectrum_h2),
+            "s2": (S2_SIGNS, -1, analytic_spectrum_s2)}
+
+
 def find_spectrum(params: ModelParams, max_p: int,
                   sign_mode="all", flip=None) -> list[RepSolution]:
     """Enumerate finite-dimensional unitary representations.
 
-    sign_mode: "all" (all 8 patterns), "h2" (pattern (-,-,+) with the
-    bound-state direction of the two-sheeted hyperboloid), "s2"
-    (pattern (-,-,-), global Hamiltonian sign flipped), or an explicit
-    (eps1, eps2, eps3) tuple.  Each emitted solution carries the exact
+    sign_mode: "all" (all 8 patterns), a ``SURFACES`` key ("h2" or "s2":
+    that surface's pattern, with its global sign as flip), or an
+    explicit (eps1, eps2, eps3) triple of +-1; anything else raises
+    ValueError.  Each emitted solution carries the exact
     certificate of a (p+1)-dimensional representation: Phi(u) = 0 and
     Phi(p + 1 + u) = 0 hold by construction (u is an (m1, m2)-root and
     Etilde puts p + 1 + u on an (Etilde, m3)-root), and
@@ -399,14 +444,17 @@ def find_spectrum(params: ModelParams, max_p: int,
     Etilde < 0, flip = -1 keeps Etilde > 0.  An empty list is a valid
     result.
     """
-    if sign_mode == "h2":
-        patterns, flip = [H2_SIGNS], 1
-    elif sign_mode == "s2":
-        patterns, flip = [S2_SIGNS], -1
-    elif sign_mode == "all":
-        patterns = list(ALL_SIGN_PATTERNS)
+    if sign_mode == "all":
+        patterns = ALL_SIGN_PATTERNS
+    elif isinstance(sign_mode, str) and sign_mode in SURFACES:
+        signs, flip, _ = SURFACES[sign_mode]
+        patterns = [signs]
     else:
-        patterns = [tuple(sign_mode)]
+        signs = tuple(sign_mode) if isinstance(sign_mode, (tuple, list)) else ()
+        if len(signs) != 3 or any(e not in (1, -1) for e in signs):
+            raise ValueError(f"sign_mode must be 'all', one of {sorted(SURFACES)} "
+                             f"or a triple of +1/-1, got {sign_mode!r}")
+        patterns = [signs]
     out = []
     for signs in patterns:
         out.extend(_candidates(params, signs, max_p, flip))
@@ -421,21 +469,14 @@ def match_spectrum_to_signature(metric: Metric, params: ModelParams,
 
     With no analytic level up to max_p every pattern with no solution
     would match, so an empty target is vacuous and fails."""
-    from .specsolver import analytic_spectrum_h2, analytic_spectrum_s2
-
     if metric.dim != 3:
         raise ValueError("d = 3 only")
     n_minus = metric.diag.count(-1)
     if params.l is None:
         raise ValueError("l parameters required")
-    l = tuple(abs(Fraction(x)) for x in params.l)
-    if n_minus in (0, 3):
-        surface = "s2"
-        analytic = analytic_spectrum_s2(l, max_levels=max_p + 1)
-    else:
-        surface = "h2"
-        analytic = analytic_spectrum_h2(l)
-    target = {(lv.E, lv.degeneracy) for lv in analytic if lv.P <= max_p}
+    surface = "s2" if n_minus in (0, 3) else "h2"
+    target = {(lv.E, lv.degeneracy)
+              for lv in SURFACES[surface][2](params.l, max_levels=max_p + 1)}
 
     matches = []
     for signs in ALL_SIGN_PATTERNS:

@@ -1,62 +1,25 @@
-"""Separation-of-variables spectra for S^2 and H^2.
+"""Numeric separation-of-variables spectra for S^2 and H^2.
 
-Closed-form levels plus a generic one-dimensional Sturm-Liouville
-finite-difference eigensolver (Liouville-transformed Poschl-Teller
-problems, Richardson extrapolation, endpoint-truncation extrapolation)
-as the physics-side numerical oracle for the algebraic spectrum.
+A generic one-dimensional Sturm-Liouville finite-difference eigensolver
+(Liouville-transformed Poschl-Teller problems, Richardson extrapolation,
+endpoint-truncation extrapolation) as the physics-side numerical oracle
+for the algebraic spectrum.  The closed-form levels live in ``racah3``
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .racah3 import SpectrumLevel, analytic_spectrum_h2, analytic_spectrum_s2  # noqa: F401
+
 
 class ConvergenceError(RuntimeError):
     """Eigenvalue drift across refinements exceeded the tolerance."""
-
-
-@dataclass(frozen=True)
-class SpectrumLevel:
-    E: object               # Fraction (analytic) or float (numeric)
-    n: int
-    m: int
-    P: int
-    degeneracy: int
-    method: str = "analytic"
-
-
-def analytic_spectrum_h2(l, max_levels=None) -> list[SpectrumLevel]:
-    """Discrete H^2 spectrum: E = 1/4 - (l3 - l1 - l2 - 2(P+1))^2 over all
-    P = n + m with l3 - l1 - l2 - 2(P+1) > 0; one level per P with
-    degeneracy P + 1.  Finite (possibly empty) list."""
-    l1, l2, l3 = (Fraction(x) for x in l)
-    out = []
-    P = 0
-    while l3 - l1 - l2 - 2 * (P + 1) > 0:
-        k = l3 - l1 - l2 - 2 * (P + 1)
-        out.append(SpectrumLevel(E=Fraction(1, 4) - k * k, n=0, m=P, P=P,
-                                 degeneracy=P + 1))
-        P += 1
-        if max_levels is not None and len(out) >= max_levels:
-            break
-    return out
-
-
-def analytic_spectrum_s2(l, max_levels) -> list[SpectrumLevel]:
-    """S^2 spectrum: E = (l1 + l2 + l3 + 2(P+1))^2 - 1/4, one level per
-    P = 0..max_levels-1 with degeneracy P + 1."""
-    l1, l2, l3 = (Fraction(x) for x in l)
-    out = []
-    for P in range(max_levels):
-        s = l1 + l2 + l3 + 2 * (P + 1)
-        out.append(SpectrumLevel(E=s * s - Fraction(1, 4), n=0, m=P, P=P,
-                                 degeneracy=P + 1))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,34 @@ class TestPdeCheck:
                 for r in records] == [(0, 1, 1, True), (1, 2, 2, True),
                                       (2, 2, 3, False)]
 
+    @pytest.mark.parametrize("surface,l,flipped", [
+        ("h2", "1/2,1/2,13/2", "-1/2,1/2,13/2"),
+        ("s2", "1/2,3/2,1/2", "1/2,-3/2,1/2"),
+    ])
+    def test_sign_of_l_ignored(self, tmp_path, surface, l, flipped):
+        # H depends on l_i^2 only: flipping an l_i changes the report's
+        # "l" and nothing else
+        reports = []
+        for arg in (l, flipped):
+            out = tmp_path / "pde.json"
+            assert run(["pde-check", "--surface", surface, f"--l={arg}",
+                        "--grid", "256", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        assert reports[0].pop("l") != reports[1].pop("l")
+        assert reports[0] == reports[1]
+
+    def test_h2_more_levels_than_counts(self, tmp_path):
+        # six bound levels and --counts 3: the complete shells P < 3 are
+        # checked, the incomplete shells above them are not
+        out = tmp_path / "pde.json"
+        assert run(["pde-check", "--surface", "h2", "--l", "1/2,1/2,29/2",
+                    "--grid", "512", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [(r["P"], r["E_analytic"], r["multiplicity"], r["passed"])
+                for r in records] == [(0, "-132/1", 1, True),
+                                      (1, "-90/1", 2, True),
+                                      (2, "-56/1", 3, True)]
+
 
 class TestCrossCheck:
     def test_h2_unique_match(self, tmp_path):
@@ -305,6 +333,30 @@ def test_cli_import_loads_no_numerics():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_commands_run_without_numerics():
+    # with numpy and scipy unimportable, racah-spectrum and cross-check
+    # still reproduce their golden reports and exit codes
+    code = ("import sys\n"
+            "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+            "import json, tempfile\n"
+            "from pathlib import Path\n"
+            "from test_golden import COMMANDS, GOLDEN_DIR, regenerate\n"
+            "names = [n for n in sorted(COMMANDS)\n"
+            "         if n.startswith(('racah-spectrum-', 'cross-check-'))]\n"
+            "assert len(names) == 7, names\n"
+            "with tempfile.TemporaryDirectory() as tmp:\n"
+            "    for name in names:\n"
+            "        want = json.loads((GOLDEN_DIR / f'{name}.json').read_text())\n"
+            "        assert regenerate(name, Path(tmp)) == want, name\n")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -26,6 +26,9 @@ from pseudosphere.racah3 import (
     find_spectrum,
     match_spectrum_to_signature,
     RepSolution,
+    SURFACES,
+    analytic_spectrum_h2,
+    analytic_spectrum_s2,
 )
 
 
@@ -246,6 +249,38 @@ class TestSpectrum:
             analytic = analytic_spectrum_s2(l, max_levels=6)
             assert [(-s.E, s.degeneracy) for s in sols] == \
                 [(lv.E, lv.degeneracy) for lv in analytic], l
+
+    @pytest.mark.parametrize("surface", sorted(SURFACES))
+    def test_closed_forms_read_abs_l(self, surface):
+        # H depends on l_i^2 only, so flipping the sign of any l_i leaves
+        # the closed-form levels alone
+        closed_form = SURFACES[surface][2]
+        l = (F(1, 2), F(3, 2), F(25, 2))
+        want = closed_form(l, max_levels=4)
+        assert want
+        for flipped in ((-l[0], l[1], l[2]), (l[0], -l[1], l[2]),
+                        (l[0], l[1], -l[2]), tuple(-x for x in l)):
+            assert closed_form(flipped, max_levels=4) == want, flipped
+
+    def test_closed_forms_honour_max_levels(self):
+        l = (F(1, 2), F(1, 2), F(25, 2))
+        assert len(analytic_spectrum_h2(l)) == 5
+        assert analytic_spectrum_h2(l, max_levels=0) == []
+        assert analytic_spectrum_s2(l, max_levels=0) == []
+        assert analytic_spectrum_h2(l, max_levels=2) == analytic_spectrum_h2(l)[:2]
+
+    def test_sign_mode_list_is_a_triple(self):
+        p = ModelParams.from_l((F(1, 2), F(1, 2), F(13, 2)))
+        assert find_spectrum(p, 4, sign_mode=[-1, -1, 1]) == \
+            find_spectrum(p, 4, sign_mode=(-1, -1, 1))
+
+    @pytest.mark.parametrize("sign_mode", [(1, 1, 2), (1, 0, -1), (1, -1),
+                                           (1, 1, 1, 1), "H2", "+-+", "",
+                                           None, 1, {1, -1}])
+    def test_bad_sign_mode_raises(self, sign_mode):
+        p = ModelParams.from_l((F(1, 2), F(1, 2), F(13, 2)))
+        with pytest.raises(ValueError, match="'all', one of \\['h2', 's2'\\]"):
+            find_spectrum(p, 4, sign_mode=sign_mode)
 
 
 def reference_candidates(params, signs, max_p, flip):
