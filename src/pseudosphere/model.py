@@ -14,14 +14,13 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .weylops import (
     Metric,
     NotDivisible,
     WeylOp,
     _normal_forms,
+    _products,
     commutator,
     compose,
     divide_by_hbar,
@@ -149,8 +148,8 @@ def build_C(metric: Metric, params: ModelParams, i: int, j: int, k: int) -> Weyl
 # carrying h dropped.  A generator is "H", "Q" or "C" followed by the
 # positions in the index tuple of its indices ("C013" is C at idx[0],
 # idx[1], idx[3]); an RHS term (c, p, e, word) is c a_idx[p] h^e times the
-# product of the word's generators, left to right, with no a factor when p
-# is None and 1 for the empty word.
+# product of the word's generators (at most two), left to right, with no a
+# factor when p is None and 1 for the empty word.
 #
 # The right-hand sides are the measured structure constants, obtained by
 # exact linear solves over the operator term basis; they are the same for
@@ -214,10 +213,18 @@ def _generator_lookup(metric: Metric, params: ModelParams, builders: dict):
 
 
 def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
-                    params: ModelParams, builders: dict, bracket, quantum: bool):
-    """[x, y] - h RHS (quantum, h formal) or {x, y} - RHS at h = 0 for the
-    RELATIONS entry of family, over the ring of ``builders`` (generator
-    letter -> builder(metric, params, *indices)) and ``bracket``."""
+                    params: ModelParams, builders: dict, products):
+    """The residual of the RELATIONS entry of family, over the ring of
+    ``builders`` (generator letter -> builder(metric, params, *indices)):
+    [x, y] - h RHS with h formal for the quantum kernel
+    ``weylops._products``, {x, y} - RHS at h = 0 for the classical
+    ``phase._products``.
+
+    One residual, one accumulator: the bracket is the pair (x, y, -1), and
+    each RHS term c a h^e w0 w1 the pair (w0, w1, 0, -c a, e + 1), a
+    one-generator word paired with the identity and the empty word as
+    identity o identity, so no scaled copy or partial sum of an operator
+    is built."""
     if family not in RELATIONS:
         raise ValueError(f"unknown relation family {family!r}")
     arity, (x, y), rhs = RELATIONS[family]
@@ -228,23 +235,20 @@ def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
     def gen(name):
         return lookup(name[0], *(idx[int(p)] for p in name[1:]))
 
-    lhs = bracket(gen(x), gen(y))
-    total = lhs.zero(metric.dim)
+    X = gen(x)
+    one = X.term(metric.dim, 1)
+    pairs = [(X, gen(y), -1)]
     for c, p, e, word in rhs:
-        if e and not quantum:
-            continue
-        term = reduce(mul, map(gen, word)) if word else lhs.term(metric.dim, 1)
-        term = term.scale(c if p is None else c * params.a[idx[p]])
-        total += term.scale_h(e + 1) if quantum else term
-    return lhs - total
+        factors = [gen(name) for name in word] + [one] * (2 - len(word))
+        pairs.append((*factors, 0, -c if p is None else -c * params.a[idx[p]], e + 1))
+    return products(*pairs)
 
 
 def _relation_residual(family: str, idx: tuple[int, ...], metric: Metric,
                        params: ModelParams) -> WeylOp:
     """LHS - RHS of the cited relation, with h kept formal."""
     return _table_residual(family, idx, metric, params,
-                           {"H": build_H, "Q": build_Q, "C": build_C},
-                           commutator, quantum=True)
+                           {"H": build_H, "Q": build_Q, "C": build_C}, _products)
 
 
 def _closes(residual, metric: Metric) -> tuple[bool, bool]:

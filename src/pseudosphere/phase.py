@@ -96,33 +96,73 @@ class PhasePoly(TermDict):
         return PhasePoly(self.dim, out)
 
 
-def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """{f, g} with the convention {s_i, p_j} = delta_ij, in one pass.
+def _integer_terms(f: PhasePoly):
+    """(den, [(A, B, integer numerator over den)]), den the lcm of f's
+    denominators."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return den, [(A, B, c.numerator * (den // c.denominator)) for (A, B), c in f.terms.items()]
+
+
+def _products(*pairs: tuple) -> PhasePoly:
+    """The classical limit of ``weylops._products`` over the same
+    (lhs, rhs, sign[, c, e]) pairs of phase-space functions (c = 1 and
+    e = 0 when omitted): the h -> 0 limit of
+    (1/h) sum c h^e (lhs o rhs + sign * rhs o lhs).  A commutator is
+    h {lhs, rhs} + O(h^2) and a product lhs rhs + O(h), so a sign -1 pair
+    gives c {lhs, rhs} at e = 0, a sign 0 pair c lhs rhs at e = 1 (sign
+    +1: 2 c lhs rhs), and a pair of higher order in h nothing; a pair of
+    lower order diverges and raises ValueError.
 
     A term pair u s^A p^B, v s^C p^D gives (A_i D_i - B_i C_i) u v at
-    s^(A+C-e_i) p^(B+D-e_i) for each axis i.  The products accumulate as
-    integers over df * dg, the common denominators of f and g; each
-    output coefficient is divided once, as a Fraction."""
-    f._check(g)
-    df = lcm(*(c.denominator for c in f.terms.values()))
-    dg = lcm(*(c.denominator for c in g.terms.values()))
-    right = [(C, D, v.numerator * (dg // v.denominator)) for (C, D), v in g.terms.items()]
-    axes = range(f.dim)
+    s^(A+C-e_i) p^(B+D-e_i) for each axis i of a bracket, and u v at
+    s^(A+C) p^(B+D) for a product.  Everything accumulates as integers
+    over one common denominator; each output coefficient is divided once,
+    as a Fraction."""
+    first = pairs[0][0]
+    factors = []
+    for lhs, rhs, sign, *ce in pairs:
+        first._check(lhs)
+        lhs._check(rhs)
+        c, e = (Fraction(ce[0]), ce[1]) if ce else (Fraction(1), 0)
+        bracket = sign == -1
+        lead = e if bracket else e - 1
+        if lead < 0:
+            raise ValueError(f"a sign {sign} pair at h^{e} diverges as h -> 0")
+        if lead or not c:
+            continue
+        if not bracket:
+            c *= 1 + sign
+        dl, left = _integer_terms(lhs)
+        dr, right = _integer_terms(rhs)
+        factors.append((dl * dr * c.denominator, c.numerator, bracket, left, right))
+    den = lcm(*(d for d, *_ in factors))
+    axes = range(first.dim)
     acc: dict[tuple[Mono, Mono], int] = {}
-    for (A, B), u in f.terms.items():
-        u = u.numerator * (df // u.denominator)
-        for C, D, v in right:
-            axes_w = [(i, w) for i in axes if (w := A[i] * D[i] - B[i] * C[i])]
-            if not axes_w:
-                continue
-            AC = tuple(map(add, A, C))
-            BD = tuple(map(add, B, D))
-            uv = u * v
-            for i, w in axes_w:
-                key = (AC[:i] + (AC[i] - 1,) + AC[i + 1:], BD[:i] + (BD[i] - 1,) + BD[i + 1:])
-                acc[key] = acc.get(key, 0) + w * uv
-    den = df * dg
-    return PhasePoly(f.dim, {key: Fraction(n, den) for key, n in acc.items() if n})
+    for d, n, bracket, left, right in factors:
+        f = den // d * n
+        for A, B, u in left:
+            u *= f
+            for C, D, v in right:
+                if not bracket:
+                    key = (tuple(map(add, A, C)), tuple(map(add, B, D)))
+                    acc[key] = acc.get(key, 0) + u * v
+                    continue
+                axes_w = [(i, w) for i in axes if (w := A[i] * D[i] - B[i] * C[i])]
+                if not axes_w:
+                    continue
+                AC = tuple(map(add, A, C))
+                BD = tuple(map(add, B, D))
+                uv = u * v
+                for i, w in axes_w:
+                    key = (AC[:i] + (AC[i] - 1,) + AC[i + 1:], BD[:i] + (BD[i] - 1,) + BD[i + 1:])
+                    acc[key] = acc.get(key, 0) + w * uv
+    return PhasePoly(first.dim, {key: Fraction(n, den) for key, n in acc.items() if n})
+
+
+def poisson_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
+    """{f, g} with the convention {s_i, p_j} = delta_ij, in one pass over
+    the term pairs, on integer numerators (``_products``)."""
+    return _products((f, g, -1))
 
 
 def reduce_mod_constraint_cl(f: PhasePoly, metric: Metric) -> PhasePoly:
@@ -174,7 +214,7 @@ def classical_relation_residual(family: str, idx, metric: Metric,
     at h = 0, with commuting products."""
     return _table_residual(family, tuple(idx), metric, params,
                            {"H": build_H_cl, "Q": build_Q_cl, "C": build_C_cl},
-                           poisson_bracket, quantum=False)
+                           _products)
 
 
 def verify_classical_relation(family: str, idx, metric: Metric,

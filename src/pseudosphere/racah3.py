@@ -124,26 +124,32 @@ def _abc_realization(metric: Metric, params: ModelParams) -> ABCRealization:
                           q23_residual_vanishes=_closes(Q23 - direct, metric)[0])
 
 
-def _hlin_op(c: HLin, H: WeylOp) -> WeylOp:
-    return WeylOp.const(3, c[0]) + H.scale(c[1])
-
-
 def verify_daskaloyannis_form(metric: Metric, params: ModelParams,
                               convention: str = "measured") -> dict:
     """Check [A,C] and [B,C] against the structure-constant form as exact
-    operator identities (modulo the constraint).  Failure is data."""
+    operator identities (modulo the constraint).  Failure is data.
+
+    Each residual, [A,C] - rhs_ac and [B,C] - rhs_bc, is summed in one
+    integer accumulator (``weylops._products``): the bracket is the pair
+    (A, C, -1), and each term of the right-hand side a product pair with
+    its coefficient negated, a lone operator paired with the identity I;
+    an H-linear constant c0 + c1 H gives (I, I) with c0 and (H, I) with
+    c1, and the product delta o A gives (A, I) with delta0 and (H, A)
+    with delta1."""
     k = structure_constants(params, convention)
     r = abc_realization(metric, params)
     A, B, C, H = r.A, r.B, r.C, r.H
-    AA, BB, AB = compose(A, A), compose(B, B), anticommutator(A, B)
-    delta = _hlin_op(k.delta, H)
-    rhs_ac = (AA.scale(k.alpha) + AB.scale(k.gamma)
-              + compose(delta, A) + B.scale(k.epsilon) + _hlin_op(k.zeta, H))
-    ok_ac = _closes(commutator(A, C) - rhs_ac, metric)[0]
-    rhs_bc = (AA.scale(k.a_const) - BB.scale(k.gamma) - AB.scale(k.alpha)
-              + compose(_hlin_op(k.d_const, H), A)
-              - compose(delta, B) + _hlin_op(k.z_const, H))
-    ok_bc = _closes(commutator(B, C) - rhs_bc, metric)[0]
+    I = WeylOp.const(3, 1)
+    (de0, de1), (d0, d1), (ze0, ze1), (z0, z1) = k.delta, k.d_const, k.zeta, k.z_const
+    res_ac = _products((A, C, -1), (A, A, 0, -k.alpha, 0), (A, B, 1, -k.gamma, 0),
+                       (A, I, 0, -de0, 0), (H, A, 0, -de1, 0), (B, I, 0, -k.epsilon, 0),
+                       (I, I, 0, -ze0, 0), (H, I, 0, -ze1, 0))
+    ok_ac = _closes(res_ac, metric)[0]
+    res_bc = _products((B, C, -1), (A, A, 0, -k.a_const, 0), (B, B, 0, k.gamma, 0),
+                       (A, B, 1, k.alpha, 0), (A, I, 0, -d0, 0), (H, A, 0, -d1, 0),
+                       (B, I, 0, de0, 0), (H, B, 0, de1, 0),
+                       (I, I, 0, -z0, 0), (H, I, 0, -z1, 0))
+    ok_bc = _closes(res_bc, metric)[0]
     return {
         "convention": convention,
         "signature": metric.signature,
@@ -257,11 +263,11 @@ def verify_casimir(metric: Metric, params: ModelParams) -> dict:
     r = abc_realization(metric, params)
     ce = casimir(params)
     Kn = reduce_mod_constraint(_casimir_expansion(r, ce.constants), metric)
-    H = r.H
-    K_real = (compose(H, H).scale(ce.realized_form[2])
-              + H.scale(ce.realized_form[1])
-              + WeylOp.const(3, ce.realized_form[0]))
-    eq = _closes(Kn - K_real, metric)[0]
+    H, I = r.H, WeylOp.const(3, 1)
+    k2, k1, k0 = (ce.realized_form[n] for n in (2, 1, 0))
+    # Kn - K(H) in one accumulator, K(H) = k2 H^2 + k1 H + k0
+    eq = _closes(_products((Kn, I, 0), (H, H, 0, -k2, 0), (H, I, 0, -k1, 0),
+                           (I, I, 0, -k0, 0)), metric)[0]
     central_A = _central_mod_constraint(Kn, r.A, metric)
     central_B = _central_mod_constraint(Kn, r.B, metric)
     return {"signature": metric.signature,

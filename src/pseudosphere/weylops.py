@@ -270,32 +270,37 @@ def _integer_terms(op: WeylOp):
                  for (A, B), hp in op.terms.items()]
 
 
-def _products(*pairs: tuple[WeylOp, WeylOp, int]) -> WeylOp:
-    """The sum over (lhs, rhs, sign) of lhs o rhs + sign * rhs o lhs in
-    canonical normal order (sign 0: lhs o rhs alone): the kernel of
-    compose and of both brackets, and of a sum of such products.
+def _products(*pairs: tuple) -> WeylOp:
+    """The sum over (lhs, rhs, sign[, c, e]) of
+    c h^e (lhs o rhs + sign * rhs o lhs) in canonical normal order (sign
+    0: lhs o rhs alone; c = 1 and e = 0 when omitted): the kernel of
+    compose and of both brackets, and of any exact residual built from
+    such products, which it sums in one accumulator.
 
     A term pair (A, B), (C, D) gives s^(A+C-j) D^(B+D-j) in both orders,
     so its Leibniz terms D^B s^C and sign * D^D s^A merge by j, and its
     scalar product is formed once.  Products accumulate as integers over
-    one common denominator, the lcm of dl * dr over the pairs (dl, dr the
-    common denominators of the operands); each output scalar is divided
-    once, as a Fraction."""
+    one common denominator, the lcm of dl * dr * den(c) over the pairs
+    (dl, dr the common denominators of the operands); pairs with c = 0
+    are skipped, and each output scalar is divided once, as a Fraction."""
     first = pairs[0][0]
     factors = []
-    for lhs, rhs, sign in pairs:
+    for lhs, rhs, sign, *ce in pairs:
         first._check(lhs)
         lhs._check(rhs)
+        c, e = (Fraction(ce[0]), ce[1]) if ce else (_ONE, 0)
+        if not c:
+            continue
         dl, left = _integer_terms(lhs)
         dr, right = _integer_terms(rhs)
-        factors.append((dl * dr, left, right, sign))
+        factors.append((dl * dr * c.denominator, c.numerator, e, left, right, sign))
     den = lcm(*(d for d, *_ in factors))
     acc: dict[tuple[Mono, Mono], dict[int, int]] = {}
-    for d, left, right, sign in factors:
-        f = den // d
+    for d, n, e, left, right, sign in factors:
+        f = den // d * n
         for A, B, ca in left:
-            if f != 1:
-                ca = [(i, u * f) for i, u in ca]
+            if f != 1 or e:
+                ca = [(i + e, u * f) for i, u in ca]
             for C, D, cb in right:
                 shifts = _leibniz_both(B, C, D, A, sign) if sign else _leibniz(B, C)
                 if not shifts:

@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
@@ -321,3 +323,73 @@ class TestRelationTable:
                 verify_classical_relation(fam, idx, m, p)
         with pytest.raises(ValueError):
             admissible_tuples("bogus", 3)
+
+
+def materialised_residual(family, idx, metric, params, quantum):
+    """The residual as the table reads, each operator formed: the bracket
+    minus the sum of the scaled RHS words (for the classical ring, the
+    h-free terms with commuting products).  The oracle for the one-call
+    residual of model._table_residual."""
+    if quantum:
+        builders = {"H": build_H, "Q": build_Q, "C": build_C}
+        ring, bracket, product = WeylOp, commutator, compose
+    else:
+        builders = {"H": phase.build_H_cl, "Q": phase.build_Q_cl, "C": phase.build_C_cl}
+        ring, bracket, product = phase.PhasePoly, phase.poisson_bracket, operator.mul
+    _, (x, y), rhs = RELATIONS[family]
+
+    def gen(name):
+        return builders[name[0]](metric, params, *(idx[int(q)] for q in name[1:]))
+
+    total = ring.zero(metric.dim)
+    for c, pos, e, word in rhs:
+        if e and not quantum:
+            continue
+        term = reduce(product, map(gen, word)) if word else ring.term(metric.dim, 1)
+        term = term.scale(c if pos is None else c * params.a[idx[pos]])
+        total += term.scale_h(e + 1) if quantum else term
+    return bracket(gen(x), gen(y)) - total
+
+
+FUSED_CASES = [(fam, d) for fam, arity in MIN_DIMENSION.items() for d in (arity, arity + 1)]
+
+
+class TestFusedResidual:
+    @pytest.mark.parametrize("fam,d", FUSED_CASES)
+    def test_equals_materialised_route(self, fam, d, monkeypatch):
+        # the true table (zero or reduced residuals) and the table with every
+        # RHS coefficient bumped by +1 (nonzero residuals), on both rings
+        rng = random.Random(f"fused/{fam}/{d}")
+        arity, lhs, rhs = RELATIONS[fam]
+        bumped = tuple((c + 1, pos, e, word) for c, pos, e, word in rhs)
+        tuples = admissible_tuples(fam, d)
+        diag = tuple(rng.choice((1, -1)) for _ in range(d))
+        for table in (rhs, bumped):
+            monkeypatch.setitem(model.RELATIONS, fam, (arity, lhs, table))
+            for m in (Metric(diag), Metric(tuple(-g for g in diag))):
+                p = random_params(rng, d)
+                idx = rng.choice(tuples)
+                for quantum, fused in ((True, model._relation_residual),
+                                       (False, phase.classical_relation_residual)):
+                    got = fused(fam, idx, m, p)
+                    want = materialised_residual(fam, idx, m, p, quantum)
+                    assert type(got) is type(want)
+                    assert got.terms == want.terms, (fam, idx, m.diag, p.a, quantum)
+                    if table is bumped and rhs and quantum:
+                        assert not got.is_zero()
+
+    @pytest.mark.parametrize("fam,n", TABLE_TERMS)
+    def test_every_term_is_load_bearing_one_dimension_up(self, fam, n, monkeypatch):
+        # the +1 bump of test_every_term_is_load_bearing at d = arity + 1,
+        # away from the default tuple, on a second signature
+        arity, lhs, rhs = RELATIONS[fam]
+        c, pos, e, word = rhs[n]
+        bumped = rhs[:n] + ((c + 1, pos, e, word),) + rhs[n + 1:]
+        monkeypatch.setitem(model.RELATIONS, fam, (arity, lhs, bumped))
+        d = arity + 1
+        m = Metric(tuple((-1, 1)[k % 2] for k in range(d)))
+        p = ModelParams.from_a(tuple(F(2 * k - 3, k + 4) for k in range(d)))
+        idx = admissible_tuples(fam, d)[-1]
+        assert not verify_relation(fam, idx, m, p).passed
+        if e == 0:
+            assert not verify_classical_relation(fam, idx, m, p)["passed"]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pseudosphere.weylops import Metric
 from pseudosphere.model import ModelParams, RELATION_FAMILIES, default_indices
+from pseudosphere import phase
 from pseudosphere.phase import (
     PhasePoly,
     poisson_bracket,
@@ -217,6 +218,55 @@ class TestBracketOracle:
             + poisson_bracket(g, poisson_bracket(h, f)) \
             + poisson_bracket(h, poisson_bracket(f, g))
         assert acc.is_zero()
+
+
+@st.composite
+def weighted_pairs_cl(draw, dim):
+    """(lhs, rhs, sign, c, e) pairs of finite h -> 0 limit: brackets at
+    e = 0..2, products at e = 1..2; c = 0 included, and denominators of c
+    (1, 2, 4, 6, 12) that share factors with the operands' (1..6)."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from((-1, 0, 1)))
+        out.append((draw(dense_polys(dim, max_terms=4)), draw(dense_polys(dim, max_terms=4)),
+                    sign, F(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 4, 6, 12)))),
+                    draw(st.integers(0 if sign == -1 else 1, 2))))
+    return out
+
+
+def reference_weighted_cl(pairs):
+    """The h -> 0 limit of (1/h) sum c h^e (lhs o rhs + sign rhs o lhs),
+    pair by pair: c {lhs, rhs} for a bracket at e = 0, (1 + sign) c lhs rhs
+    for a product at e = 1, each formed, scaled and added with +."""
+    total = PhasePoly(pairs[0][0].dim)
+    for f, g, sign, c, e in pairs:
+        if sign == -1 and e == 0:
+            total += reference_poisson(f, g).scale(c)
+        elif sign != -1 and e == 1:
+            total += (f * g).scale(c * (1 + sign))
+    return total
+
+
+class TestWeightedProductsCl:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_matches_sum_of_scaled_products(self, data, dim):
+        pairs = data.draw(weighted_pairs_cl(dim))
+        got = phase._products(*pairs)
+        assert got.terms == reference_weighted_cl(pairs).terms
+        assert all(type(c) is F and c for c in got.terms.values())
+
+    def test_orders_in_h(self):
+        f = sc(0, 2).scale(F(1, 6)) + pm(1).scale(F(3, 4))
+        g = sc(1, -1).scale(F(2, 9)) * pm(0, 2)
+        assert phase._products((f, g, -1)) == poisson_bracket(f, g)
+        assert phase._products((f, g, 0, F(5, 12), 1)) == (f * g).scale(F(5, 12))
+        # higher order in h vanishes in the limit, c = 0 contributes nothing
+        assert phase._products((f, g, -1, 3, 1), (f, g, 0, 7, 2),
+                               (f, g, -1, 0, 0)).is_zero()
+        # a product at h^0 has no classical limit
+        with pytest.raises(ValueError):
+            phase._products((f, g, 0, 1, 0))
 
 
 class TestClassicalModel:

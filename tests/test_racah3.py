@@ -502,3 +502,52 @@ class TestCasimirNormalForm:
             m = Metric(diag)
             r = abc_realization(m, random_params(rng))
             assert racah3._tangent(r.A, m) and racah3._tangent(r.B, m)
+
+
+# each structure constant, as (field, component or None), with the sides
+# of the form check whose right-hand side reads it
+CONSTANT_SIDES = [("alpha", None, {"AC", "BC"}), ("gamma", None, {"AC", "BC"}),
+                  ("epsilon", None, {"AC"}), ("a_const", None, {"BC"}),
+                  ("delta", 0, {"AC", "BC"}), ("delta", 1, {"AC", "BC"}),
+                  ("d_const", 0, {"BC"}), ("d_const", 1, {"BC"}),
+                  ("zeta", 0, {"AC"}), ("zeta", 1, {"AC"}),
+                  ("z_const", 0, {"BC"}), ("z_const", 1, {"BC"})]
+
+
+def _bumped(k, name, comp):
+    from dataclasses import replace
+    v = getattr(k, name)
+    if comp is None:
+        return replace(k, **{name: v + 1})
+    return replace(k, **{name: tuple(x + (i == comp) for i, x in enumerate(v))})
+
+
+class TestFusedResidualsLoadBearing:
+    @pytest.mark.parametrize("name,comp,sides", CONSTANT_SIDES)
+    def test_bumped_constant_fails_its_side(self, name, comp, sides, monkeypatch):
+        measured = racah3.structure_constants
+        monkeypatch.setattr(racah3, "structure_constants",
+                            lambda params, convention="measured":
+                            _bumped(measured(params, convention), name, comp))
+        for diag in ((1, -1, 1), (-1, -1, 1)):
+            rep = verify_daskaloyannis_form(Metric(diag),
+                                            ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3))))
+            assert {side for side in ("AC", "BC") if not rep[side]} == sides, diag
+            assert not rep["passed"]
+
+    @pytest.mark.parametrize("power", (2, 1, 0))
+    def test_bumped_casimir_coefficient_fails(self, power, monkeypatch):
+        from dataclasses import replace
+        realized = racah3.casimir
+
+        def bumped(params):
+            ce = realized(params)
+            form = dict(ce.realized_form)
+            form[power] += 1
+            return replace(ce, realized_form=form)
+
+        monkeypatch.setattr(racah3, "casimir", bumped)
+        rep = verify_casimir(Metric((1, 1, -1)),
+                             ModelParams.from_a((F(3), F(7, 2), F(4, 3))))
+        assert (rep["equals_realized"], rep["central_A"], rep["central_B"],
+                rep["passed"]) == (False, True, True, False)

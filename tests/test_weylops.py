@@ -27,6 +27,7 @@ from pseudosphere.weylops import (
     _hp_scale,
     _normal_forms,
     _pivot_shift,
+    _products,
 )
 
 
@@ -400,6 +401,55 @@ class TestBracketOracle:
         for bracket in (commutator, anticommutator):
             with pytest.raises(DimensionMismatch):
                 bracket(WeylOp.coord(2, 0), WeylOp.coord(3, 0))
+
+
+@st.composite
+def weighted_pairs(draw, dim):
+    """(lhs, rhs, sign, c, e) pairs: c = 0 and e > 0 included, and
+    denominators of c (1, 2, 4, 6, 12) that share factors with each
+    other and with the operands' (1..6)."""
+    return [(draw(dense_ops(dim)), draw(dense_ops(dim)), draw(st.sampled_from((-1, 0, 1))),
+             F(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 4, 6, 12)))),
+             draw(st.integers(0, 2)))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def reference_weighted(pairs):
+    """The sum of c h^e (lhs o rhs + sign rhs o lhs), each product formed,
+    scaled and added with +: the oracle for _products with factors."""
+    total = WeylOp.zero(pairs[0][0].dim)
+    for X, Y, sign, c, e in pairs:
+        total += (compose(X, Y) + compose(Y, X).scale(sign)).scale(c).scale_h(e)
+    return total
+
+
+class TestWeightedProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_matches_sum_of_scaled_products(self, data, dim):
+        pairs = data.draw(weighted_pairs(dim))
+        got = _products(*pairs)
+        assert got.terms == reference_weighted(pairs).terms
+        assert_canonical(got)
+
+    def test_factor_defaults_zero_and_shared_denominators(self):
+        X = compose(s(0, -1), D(1)).scale(F(1, 6)) + WeylOp.const(3, F(3, 4), hpow=1)
+        Y = s(1, 2).scale(F(2, 9)) + D(0, 2).scale(F(5, 4))
+        # a 3-tuple is c = 1, e = 0
+        assert _products((X, Y, -1)) == _products((X, Y, -1, 1, 0)) == commutator(X, Y)
+        # a c = 0 pair contributes nothing, even beside others
+        assert _products((X, Y, 0, 0, 3)).is_zero()
+        assert _products((X, Y, 1, 0, 0), (Y, X, 0, F(5, 6), 2)) == \
+            compose(Y, X).scale(F(5, 6)).scale_h(2)
+        # c's denominator 12 shares factors with the operands' 6, 4, 9, 4
+        pairs = [(X, Y, 0, F(7, 12), 1), (Y, X, -1, F(-3, 8), 0), (X, X, 1, F(1, 18), 2)]
+        assert _products(*pairs) == reference_weighted(pairs)
+        # a pair and its negation cancel to zero in the one accumulator
+        assert _products((X, Y, 0, F(2, 3), 1), (X, Y, 0, F(-2, 3), 1)).is_zero()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            _products((s(0), D(0), 0, 0, 0), (WeylOp.coord(2, 0), WeylOp.coord(2, 1), 0, 1, 0))
 
 
 def _constraint_points():
