@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .weylops import (
     _normal_forms,
     _products,
     commutator,
-    compose,
     divide_by_hbar,
     vanishes_mod_constraint,
 )
@@ -66,61 +66,84 @@ class ModelParams:
         return len(self.a)
 
 
+# One side of the generic system: the operator class, the scalar of a J term
+# (h c for the quantum ring; c for the classical ring, whose momentum p_k is
+# the symbol of h d_k), the bracket that defines C_ijk from Q_ij and Q_ik,
+# and the residual kernel of ``_table_residual``.
+Ring = namedtuple("Ring", "op hbar bracket products")
+
+
+QUANTUM = Ring(WeylOp, lambda c: {1: Fraction(c)},
+               lambda x, y: divide_by_hbar(commutator(x, y)), _products)
+
+
+def _rotation(ring: Ring, metric: Metric, i: int, j: int):
+    """J_ij = h (g_jj s_i d_j - g_ii s_j d_i) over ring, as its two terms."""
+    d = metric.dim
+    if not (0 <= i < d and 0 <= j < d):
+        raise IndexError(f"indices ({i},{j}) out of range for dim {d}")
+    if i == j:
+        return ring.op.zero(d)
+    ei, ej = (tuple(int(k == m) for k in range(d)) for m in (i, j))
+    g = metric.diag
+    return ring.op(d, {(ei, ej): ring.hbar(g[j]), (ej, ei): ring.hbar(-g[i])})
+
+
+def _build(ring: Ring, metric: Metric, params: ModelParams, gen, letter: str, *ix):
+    """The generator letter at ix over ring; C_ijk = bracket(Q_ij, Q_ik)
+    reads Q_ij and Q_ik from the lookup gen."""
+    d, g, a = metric.dim, metric.diag, params.a
+    if letter == "H":
+        H = sum((ring.op.coord(d, i, -2).scale(g[i] * a[i]) for i in range(d)), ring.op.zero(d))
+        for k, l in itertools.combinations(range(d), 2):
+            J = _rotation(ring, metric, k, l)
+            H += (J * J).scale(g[k] * g[l])
+        return H
+    if letter == "Q":
+        i, j = ix
+        if i == j:
+            raise ValueError("Q requires two distinct indices")
+        gg = g[i] * g[j]
+        J = _rotation(ring, metric, i, j)
+        Q = (J * J).scale(-gg)
+        for u, v in ((i, j), (j, i)):
+            Q += ring.op.term(d, a[u] * gg, smon=tuple(2 * (k == v) - 2 * (k == u) for k in range(d)))
+        return Q
+    i, j, k = ix
+    if len({i, j, k}) != 3:
+        raise ValueError("C requires three distinct indices")
+    return ring.bracket(gen("Q", i, j), gen("Q", i, k))
+
+
+def _generators(ring: Ring, metric: Metric, params: ModelParams):
+    """gen(letter, *indices): H, Q_ij or C_ijk over ring, each built once
+    per lookup; Q_ij and Q_ji are one build, and C_ijk is built from the
+    lookup's own Q_ij and Q_ik."""
+    if params.dim != metric.dim:
+        raise ValueError("parameter vector length does not match metric")
+    built = {}
+
+    def gen(letter, *ix):
+        tag = (letter, *sorted(ix)) if letter == "Q" else (letter, *ix)
+        if tag not in built:
+            built[tag] = _build(ring, metric, params, gen, *tag)
+        return built[tag]
+
+    return gen
+
+
 def build_J(metric: Metric, i: int, j: int) -> WeylOp:
     """Rotation / pseudo-rotation generator, antisymmetric in (i, j).
 
     For a diagonal metric: J_ij = h (g_jj s_i d_j - g_ii s_j d_i).
     Indices are 0-based.
     """
-    d = metric.dim
-    if not (0 <= i < d and 0 <= j < d):
-        raise IndexError(f"indices ({i},{j}) out of range for dim {d}")
-    if i == j:
-        return WeylOp.zero(d)
-    g = metric.diag
-    out = WeylOp.zero(d)
-    out += compose(WeylOp.coord(d, i), WeylOp.deriv(d, j)).scale(g[j])
-    out -= compose(WeylOp.coord(d, j), WeylOp.deriv(d, i)).scale(g[i])
-    return out.scale_h(1)
-
-
-def _hamiltonian(ring, J, metric: Metric, params: ModelParams):
-    """H over the ring of the rotation generators J(metric, k, l)."""
-    d = metric.dim
-    if params.dim != d:
-        raise ValueError("parameter vector length does not match metric")
-    g = metric.diag
-    H = ring.zero(d)
-    for k in range(d):
-        for l in range(k + 1, d):
-            Jkl = J(metric, k, l)
-            H += (Jkl * Jkl).scale(g[k] * g[l])
-    for i in range(d):
-        if params.a[i]:
-            H += ring.coord(d, i, -2).scale(Fraction(g[i]) * params.a[i])
-    return H
-
-
-def _second_order(ring, J, metric: Metric, params: ModelParams, i: int, j: int):
-    """Q_ij over the ring of the rotation generators J(metric, i, j)."""
-    if i == j:
-        raise ValueError("Q requires two distinct indices")
-    d = metric.dim
-    gg = metric.diag[i] * metric.diag[j]
-    Jij = J(metric, i, j)
-    Q = (Jij * Jij).scale(-gg)
-    for (u, v) in ((i, j), (j, i)):
-        if params.a[u]:
-            mono = [0] * d
-            mono[u] = -2
-            mono[v] = 2
-            Q += ring.term(d, params.a[u] * gg, smon=tuple(mono))
-    return Q
+    return _rotation(QUANTUM, metric, i, j)
 
 
 def build_H(metric: Metric, params: ModelParams) -> WeylOp:
     """H = 1/2 sum_{k,l} g_kk g_ll J_kl^2 + sum_i g_ii a_i / s_i^2."""
-    return _hamiltonian(WeylOp, build_J, metric, params)
+    return _generators(QUANTUM, metric, params)("H")
 
 
 def build_Q(metric: Metric, params: ModelParams, i: int, j: int) -> WeylOp:
@@ -128,16 +151,12 @@ def build_Q(metric: Metric, params: ModelParams, i: int, j: int) -> WeylOp:
 
     Q_ij = -g_ii g_jj J_ij^2 + g_ii g_jj (a_i s_j^2/s_i^2 + a_j s_i^2/s_j^2).
     """
-    return _second_order(WeylOp, build_J, metric, params, i, j)
+    return _generators(QUANTUM, metric, params)("Q", i, j)
 
 
 def build_C(metric: Metric, params: ModelParams, i: int, j: int, k: int) -> WeylOp:
     """Third-order operator defined by [Q_ij, Q_ik] = h C_ijk."""
-    if len({i, j, k}) != 3:
-        raise ValueError("C requires three distinct indices")
-    Qij = build_Q(metric, params, i, j)
-    Qik = build_Q(metric, params, i, k)
-    return divide_by_hbar(commutator(Qij, Qik))
+    return _generators(QUANTUM, metric, params)("C", i, j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +218,12 @@ class RelationReport:
     elapsed_ms: float = 0.0
 
 
-def _generator_lookup(metric: Metric, params: ModelParams, builders: dict):
-    """gen(letter, *indices): the generator builders[letter](metric, params,
-    *indices), built once per lookup."""
-    built = {}
-
-    def gen(*tag):
-        if tag not in built:
-            built[tag] = builders[tag[0]](metric, params, *tag[1:])
-        return built[tag]
-
-    return gen
-
-
 def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
-                    params: ModelParams, builders: dict, products):
-    """The residual of the RELATIONS entry of family, over the ring of
-    ``builders`` (generator letter -> builder(metric, params, *indices)):
-    [x, y] - h RHS with h formal for the quantum kernel
-    ``weylops._products``, {x, y} - RHS at h = 0 for the classical
-    ``phase._products``.
+                    params: ModelParams, ring: Ring):
+    """The residual of the RELATIONS entry of family over ring, by its
+    kernel: [x, y] - h RHS with h formal for ``QUANTUM``
+    (``weylops._products``), {x, y} - RHS at h = 0 for
+    ``phase.CLASSICAL`` (``phase._products``).
 
     One residual, one accumulator: the bracket is the pair (x, y, -1), and
     each RHS term c a h^e w0 w1 the pair (w0, w1, 0, -c a, e + 1), a
@@ -230,25 +235,23 @@ def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
     arity, (x, y), rhs = RELATIONS[family]
     if len(idx) != arity:
         raise ValueError(f"family {family} takes {arity} indices, got {len(idx)}")
-    lookup = _generator_lookup(metric, params, builders)
+    lookup = _generators(ring, metric, params)
 
     def gen(name):
         return lookup(name[0], *(idx[int(p)] for p in name[1:]))
 
-    X = gen(x)
-    one = X.term(metric.dim, 1)
-    pairs = [(X, gen(y), -1)]
+    one = ring.op.term(metric.dim, 1)
+    pairs = [(gen(x), gen(y), -1)]
     for c, p, e, word in rhs:
         factors = [gen(name) for name in word] + [one] * (2 - len(word))
         pairs.append((*factors, 0, -c if p is None else -c * params.a[idx[p]], e + 1))
-    return products(*pairs)
+    return ring.products(*pairs)
 
 
 def _relation_residual(family: str, idx: tuple[int, ...], metric: Metric,
                        params: ModelParams) -> WeylOp:
     """LHS - RHS of the cited relation, with h kept formal."""
-    return _table_residual(family, idx, metric, params,
-                           {"H": build_H, "Q": build_Q, "C": build_C}, _products)
+    return _table_residual(family, idx, metric, params, QUANTUM)
 
 
 def _closes(residual, metric: Metric) -> tuple[bool, bool]:

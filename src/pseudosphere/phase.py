@@ -13,8 +13,7 @@ from math import lcm
 from operator import add, mul
 
 from .weylops import Metric, TermDict, WeylOp, reduce_mod_constraint, vanishes_mod_constraint
-from .model import (ModelParams, _closes, _generator_lookup, _hamiltonian, _second_order,
-                    _table_residual)
+from .model import QUANTUM, ModelParams, Ring, _closes, _generators, _rotation, _table_residual
 
 Mono = tuple[int, ...]
 
@@ -62,20 +61,9 @@ class PhasePoly(TermDict):
         return "PhasePoly[" + " + ".join(bits) + "]"
 
     def __mul__(self, other):
-        if not isinstance(other, PhasePoly):
-            return self.scale(other)
-        self._check(other)
-        out: dict[tuple[Mono, Mono], Fraction] = {}
-        for (A, B), u in self.terms.items():
-            for (C, D), v in other.terms.items():
-                key = (tuple(a + c for a, c in zip(A, C)),
-                       tuple(b + d for b, d in zip(B, D)))
-                w = out.get(key, _ZERO) + u * v
-                if w:
-                    out[key] = w
-                else:
-                    out.pop(key, None)
-        return PhasePoly(self.dim, out)
+        if isinstance(other, PhasePoly):
+            return _products((self, other, 0, 1, 1))
+        return self.scale(other)
 
     def diff_s(self, i) -> "PhasePoly":
         out = {}
@@ -178,31 +166,29 @@ def vanishes_mod_constraint_cl(f: PhasePoly, metric: Metric) -> bool:
 # ---------------------------------------------------------------------------
 # the classical generic system
 
+CLASSICAL = Ring(PhasePoly, Fraction, poisson_bracket, _products)
+
+
 def build_J_cl(metric: Metric, i, j) -> PhasePoly:
-    d = metric.dim
-    g = metric.diag
-    return (PhasePoly.coord(d, i) * PhasePoly.momentum(d, j)).scale(g[j]) \
-        - (PhasePoly.coord(d, j) * PhasePoly.momentum(d, i)).scale(g[i])
+    return _rotation(CLASSICAL, metric, i, j)
 
 
 def build_H_cl(metric: Metric, params: ModelParams) -> PhasePoly:
-    return _hamiltonian(PhasePoly, build_J_cl, metric, params)
+    return _generators(CLASSICAL, metric, params)("H")
 
 
 def build_Q_cl(metric: Metric, params: ModelParams, i, j) -> PhasePoly:
-    return _second_order(PhasePoly, build_J_cl, metric, params, i, j)
+    return _generators(CLASSICAL, metric, params)("Q", i, j)
 
 
 def build_C_cl(metric: Metric, params: ModelParams, i, j, k) -> PhasePoly:
     """Classical C_ijk, defined directly as {Q_ij, Q_ik}."""
-    return poisson_bracket(build_Q_cl(metric, params, i, j),
-                           build_Q_cl(metric, params, i, k))
+    return _generators(CLASSICAL, metric, params)("C", i, j, k)
 
 
 def build_classical_model(metric: Metric, params: ModelParams) -> dict:
     """All classical generators: H, every Q_ij (i < j), every C_ijk."""
-    gen = _generator_lookup(metric, params,
-                            {"H": build_H_cl, "Q": build_Q_cl, "C": build_C_cl})
+    gen = _generators(CLASSICAL, metric, params)
     tags = [("Q",) + t for t in combinations(range(metric.dim), 2)] \
         + [("C",) + t for t in permutations(range(metric.dim), 3)]
     return {"H": gen("H"), **{tag: gen(*tag) for tag in tags}}
@@ -212,9 +198,7 @@ def classical_relation_residual(family: str, idx, metric: Metric,
                                 params: ModelParams) -> PhasePoly:
     """LHS - RHS of the classical bracket relation: the RELATIONS entry
     at h = 0, with commuting products."""
-    return _table_residual(family, tuple(idx), metric, params,
-                           {"H": build_H_cl, "Q": build_Q_cl, "C": build_C_cl},
-                           _products)
+    return _table_residual(family, tuple(idx), metric, params, CLASSICAL)
 
 
 def verify_classical_relation(family: str, idx, metric: Metric,
@@ -251,20 +235,17 @@ def correspondence_check(metric: Metric, params: ModelParams,
     it is one global constant (0-sign entries mean both sides vanished).
     With no pair to check (d < 3 by default) it is vacuous and fails.
     """
-    from .model import build_Q, build_C
-    from .weylops import commutator, divide_by_hbar
-
     if pairs is None:
         pairs = [pair for i, j, k in combinations(range(metric.dim), 3)
                  for pair in ((("Q", i, j), ("Q", i, k)), (("Q", j, k), ("C", i, j, k)))]
 
-    q_op = _generator_lookup(metric, params, {"Q": build_Q, "C": build_C})
+    q_op = _generators(QUANTUM, metric, params)
     records = []
     signs = set()
     for (x, y) in pairs:
         Xq, Yq = q_op(*x), q_op(*y)
-        lhs = principal_symbol(divide_by_hbar(commutator(Xq, Yq)))
-        rhs = poisson_bracket(principal_symbol(Xq), principal_symbol(Yq))
+        lhs = principal_symbol(QUANTUM.bracket(Xq, Yq))
+        rhs = CLASSICAL.bracket(principal_symbol(Xq), principal_symbol(Yq))
         if lhs.is_zero() and rhs.is_zero():
             sign = 0
         elif lhs == rhs:

@@ -113,6 +113,39 @@ class TestBuilders:
         degs = {sum(B) for (_, B) in sym.terms}
         assert max(degs) == 3
 
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_J_matches_composed_oracle(self, d):
+        # J_ij = h (g_jj s_i o d_j - g_ii s_j o d_i) from compose, for every
+        # (i, j), i = j included, on two signatures
+        for diag in (tuple((1, -1)[k % 2] for k in range(d)), (-1,) + (1,) * (d - 1)):
+            m = Metric(diag)
+            for i, j in itertools.product(range(d), repeat=2):
+                want = (compose(WeylOp.coord(d, i), WeylOp.deriv(d, j)).scale(diag[j])
+                        - compose(WeylOp.coord(d, j), WeylOp.deriv(d, i)).scale(diag[i]))
+                assert build_J(m, i, j).terms == want.scale_h(1).terms, (diag, i, j)
+
+    @pytest.mark.parametrize("d", (3, 4))
+    def test_lookup_C_matches_bracket_of_built_Q(self, d):
+        # the lookup's C_ijk, built from its own Q_ij and Q_ik, against the
+        # bracket of separately built ones, for every ordered triple
+        rng = random.Random(f"C/{d}")
+        for diag in ((1,) * d, tuple((-1, 1)[k % 2] for k in range(d))):
+            m = Metric(diag)
+            p = random_params(rng, d)
+            gen = model._generators(model.QUANTUM, m, p)
+            gen_cl = model._generators(phase.CLASSICAL, m, p)
+            for i, j, k in itertools.permutations(range(d), 3):
+                want = divide_by_hbar(commutator(build_Q(m, p, i, j), build_Q(m, p, i, k)))
+                assert gen("C", i, j, k).terms == want.terms, (diag, i, j, k)
+                assert build_C(m, p, i, j, k).terms == want.terms
+                want_cl = phase.poisson_bracket(phase.build_Q_cl(m, p, i, j),
+                                                phase.build_Q_cl(m, p, i, k))
+                assert gen_cl("C", i, j, k).terms == want_cl.terms, (diag, i, j, k)
+                assert phase.build_C_cl(m, p, i, j, k).terms == want_cl.terms
+            for ring_gen in (gen, gen_cl):
+                with pytest.raises(ValueError):
+                    ring_gen("C", 0, 1, 0)
+
     def test_params_from_l(self):
         p = ModelParams.from_l((F(1, 2), F(1, 2), F(13, 2)))
         assert p.a == (F(0), F(0), F(42))
@@ -242,6 +275,20 @@ class TestMetricIndependence:
         assert rep["passed"]
 
 
+def record_builds(monkeypatch):
+    """Wrap the generator lookup's builder: the returned list collects
+    (ring, tag) for every generator built."""
+    built = []
+    build = model._build
+
+    def record(ring, metric, params, gen, *tag):
+        built.append((ring, tag))
+        return build(ring, metric, params, gen, *tag)
+
+    monkeypatch.setattr(model, "_build", record)
+    return built
+
+
 TABLE_TERMS = [(fam, n) for fam, (_, _, rhs) in RELATIONS.items()
                for n in range(len(rhs))]
 
@@ -266,28 +313,61 @@ class TestRelationTable:
     @pytest.mark.parametrize("fam", RELATION_FAMILIES)
     def test_generators_built_at_the_tuple(self, fam, monkeypatch):
         # relations are covariant under relabelling, so a relation built at
-        # the wrong tuple can still pass: check the builders' arguments
-        built = set()
-        for mod, suffix in ((model, ""), (phase, "_cl")):
-            for letter in "HQC":
-                original = getattr(mod, f"build_{letter}{suffix}")
-
-                def record(metric, params, *ix, _letter=letter, _build=original):
-                    built.add((_letter,) + ix)
-                    return _build(metric, params, *ix)
-
-                monkeypatch.setattr(mod, f"build_{letter}{suffix}", record)
+        # the wrong tuple can still pass: record what the generator lookup
+        # builds, on both rings.  Each generator of the relation at the
+        # tuple, and each Q_ij and Q_ik that a C_ijk reads, is built exactly
+        # once, and nothing else is built
+        built = record_builds(monkeypatch)
         arity, (x, y), rhs = RELATIONS[fam]
         d = max(arity, 3)
         idx = admissible_tuples(fam, d)[-1]
-        names = {x, y} | {g for *_, word in rhs for g in word}
-        want = {(g[0],) + tuple(idx[int(pos)] for pos in g[1:]) for g in names}
+        want = set()
+        for g in {x, y} | {g for *_, word in rhs for g in word}:
+            ix = tuple(idx[int(pos)] for pos in g[1:])
+            if g[0] == "C":
+                want |= {("Q", *sorted(ix[:2])), ("Q", *sorted(ix[::2]))}
+            want.add(("Q", *sorted(ix)) if g[0] == "Q" else (g[0], *ix))
         m = Metric((1,) * d)
         p = ModelParams.from_a(tuple(F(k + 1, 3) for k in range(d)))
-        for verify in (verify_relation, verify_classical_relation):
+        for verify, ring in ((verify_relation, model.QUANTUM),
+                             (verify_classical_relation, phase.CLASSICAL)):
             built.clear()
             verify(fam, idx, m, p)
-            assert want <= built
+            assert {r for r, _ in built} == {ring}
+            assert sorted(tag for _, tag in built) == sorted(want)
+
+    @pytest.mark.parametrize("fam", RELATION_FAMILIES)
+    @pytest.mark.parametrize("verify", (verify_relation, verify_classical_relation),
+                             ids=("quantum", "classical"))
+    def test_bad_generator_input_raises(self, fam, verify):
+        # a params vector of the wrong length raises ValueError, a negative
+        # or out-of-range index IndexError, at every position of the tuple
+        arity = MIN_DIMENSION[fam]
+        d = max(arity, 3)
+        m = Metric(tuple((1, -1)[k % 2] for k in range(d)))
+        a = tuple(F(k + 1, 2) for k in range(d + 1))
+        idx = default_indices(fam, d)
+        for n in (d - 1, d + 1):
+            with pytest.raises(ValueError, match="parameter vector length"):
+                verify(fam, idx, m, ModelParams.from_a(a[:n]))
+        p = ModelParams.from_a(a[:d])
+        for pos in range(arity):
+            for bad in (-1, d):
+                with pytest.raises(IndexError):
+                    verify(fam, idx[:pos] + (bad,) + idx[pos + 1:], m, p)
+
+    def test_bad_generator_input_raises_outside_residuals(self):
+        m = Metric((1, -1, 1))
+        for a in ((1, 2), (1, 2, 3, 4)):
+            with pytest.raises(ValueError, match="parameter vector length"):
+                phase.correspondence_check(m, ModelParams.from_a(a))
+            for build in (build_H, phase.build_H_cl):
+                with pytest.raises(ValueError, match="parameter vector length"):
+                    build(m, ModelParams.from_a(a))
+        for build in (build_J, phase.build_J_cl):
+            for i, j in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+                with pytest.raises(IndexError):
+                    build(m, i, j)
 
     @pytest.mark.parametrize("fam,n", TABLE_TERMS)
     def test_every_term_is_load_bearing(self, fam, n, monkeypatch):

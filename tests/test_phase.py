@@ -177,14 +177,31 @@ class TestBracketProperties:
             assert acc.is_zero()
 
 
+def reference_product(f, g):
+    """The commuting product f g, term pair by term pair in Fractions: the
+    oracle for PhasePoly.__mul__, the classical kernel's product pair."""
+    f._check(g)
+    out = {}
+    for (A, B), u in f.terms.items():
+        for (C, D), v in g.terms.items():
+            key = (tuple(a + c for a, c in zip(A, C)),
+                   tuple(b + d for b, d in zip(B, D)))
+            w = out.get(key, F(0)) + u * v
+            if w:
+                out[key] = w
+            else:
+                out.pop(key, None)
+    return PhasePoly(f.dim, out)
+
+
 def reference_poisson(f, g):
     """sum_i df/ds_i dg/dp_i - df/dp_i dg/ds_i from 2d derivative
     polynomials and their products: the oracle for the one-pass bracket."""
     f._check(g)
     out = PhasePoly(f.dim)
     for i in range(f.dim):
-        out += f.diff_s(i) * g.diff_p(i)
-        out -= f.diff_p(i) * g.diff_s(i)
+        out += reference_product(f.diff_s(i), g.diff_p(i))
+        out -= reference_product(f.diff_p(i), g.diff_s(i))
     return out
 
 
@@ -209,6 +226,16 @@ class TestBracketOracle:
         assert got.terms == reference_poisson(f, g).terms
         assert all(type(c) is F and c for c in got.terms.values())
         assert poisson_bracket(g, f) == got.scale(-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_product_matches_reference(self, data, dim):
+        f = data.draw(dense_polys(dim))
+        g = data.draw(dense_polys(dim))
+        got = f * g
+        assert got.terms == reference_product(f, g).terms
+        assert all(type(c) is F and c for c in got.terms.values())
+        assert g * f == got
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3))
@@ -243,7 +270,7 @@ def reference_weighted_cl(pairs):
         if sign == -1 and e == 0:
             total += reference_poisson(f, g).scale(c)
         elif sign != -1 and e == 1:
-            total += (f * g).scale(c * (1 + sign))
+            total += reference_product(f, g).scale(c * (1 + sign))
     return total
 
 
@@ -260,7 +287,7 @@ class TestWeightedProductsCl:
         f = sc(0, 2).scale(F(1, 6)) + pm(1).scale(F(3, 4))
         g = sc(1, -1).scale(F(2, 9)) * pm(0, 2)
         assert phase._products((f, g, -1)) == poisson_bracket(f, g)
-        assert phase._products((f, g, 0, F(5, 12), 1)) == (f * g).scale(F(5, 12))
+        assert phase._products((f, g, 0, F(5, 12), 1)) == reference_product(f, g).scale(F(5, 12))
         # higher order in h vanishes in the limit, c = 0 contributes nothing
         assert phase._products((f, g, -1, 3, 1), (f, g, 0, 7, 2),
                                (f, g, -1, 0, 0)).is_zero()
@@ -275,6 +302,19 @@ class TestClassicalModel:
         p = ModelParams.from_a((0, 0, 0))
         J = sc(0) * pm(1) - sc(1) * pm(0)
         assert build_Q_cl(m, p, 0, 1) == (J * J).scale(-1)
+
+    @pytest.mark.parametrize("d", range(2, 6))
+    def test_J_matches_product_oracle(self, d):
+        # J_ij = g_jj s_i p_j - g_ii s_j p_i from reference products, for
+        # every (i, j), i = j included, on two signatures
+        for diag in (tuple((1, -1)[k % 2] for k in range(d)), (-1,) + (1,) * (d - 1)):
+            m = Metric(diag)
+            for i, j in itertools.product(range(d), repeat=2):
+                want = (reference_product(PhasePoly.coord(d, i), PhasePoly.momentum(d, j))
+                        .scale(diag[j])
+                        - reference_product(PhasePoly.coord(d, j), PhasePoly.momentum(d, i))
+                        .scale(diag[i]))
+                assert build_J_cl(m, i, j).terms == want.terms, (diag, i, j)
 
     def test_C_cubic_in_momenta(self):
         m = Metric((1, 1, -1))

@@ -226,7 +226,7 @@ class TestSpectrum:
         assert len(ALL_SIGN_PATTERNS) == 8
 
     def test_random_l_match_analytic_h2(self):
-        from pseudosphere.specsolver import analytic_spectrum_h2
+        from pseudosphere.racah3 import analytic_spectrum_h2
         rng = random.Random(71)
         tested = 0
         while tested < 20:
@@ -241,7 +241,7 @@ class TestSpectrum:
             tested += 1
 
     def test_random_l_match_analytic_s2(self):
-        from pseudosphere.specsolver import analytic_spectrum_s2
+        from pseudosphere.racah3 import analytic_spectrum_s2
         rng = random.Random(73)
         for _ in range(20):
             l = tuple(F(rng.randint(1, 9), 2) for _ in range(3))

@@ -615,30 +615,24 @@ def test_vanishes_on_phase_polys_matches_product_shift(metric, data):
 
 def test_correspondence_builds_each_generator_once(monkeypatch):
     # one lookup per correspondence_check: each distinct Q_ij and C_ijk of
-    # the pair list is built once (build_C still builds its own Q_ij, Q_ik)
+    # the pair list is built exactly once over the quantum ring, and C_ijk
+    # reads the lookup's own Q_ij and Q_ik (at d = 4 all in the pair list)
     from pseudosphere import model
     from pseudosphere.phase import correspondence_check
-    calls, inside_C = [], []
-    build_Q, build_C = model.build_Q, model.build_C
+    built = []
+    build = model._build
 
-    def record_Q(metric, params, *ix):
-        if not inside_C:
-            calls.append(("Q",) + ix)
-        return build_Q(metric, params, *ix)
+    def record(ring, metric, params, gen, *tag):
+        built.append((ring, tag))
+        return build(ring, metric, params, gen, *tag)
 
-    def record_C(metric, params, *ix):
-        calls.append(("C",) + ix)
-        inside_C.append(ix)
-        try:
-            return build_C(metric, params, *ix)
-        finally:
-            inside_C.pop()
-
-    monkeypatch.setattr(model, "build_Q", record_Q)
-    monkeypatch.setattr(model, "build_C", record_C)
+    monkeypatch.setattr(model, "_build", record)
     rep = correspondence_check(Metric((1, -1, 1, -1)),
                                model.ModelParams.from_a((1, F(2, 3), -3, F(1, 5))))
     assert rep["passed"]
     tags = {tag for r in rep["records"] for tag in r["pair"]}
-    assert sorted(calls) == sorted(tags)
+    reads = {("Q", t[1], u) for t in tags if t[0] == "C" for u in t[2:]}
+    assert {ring for ring, _ in built} == {model.QUANTUM}
+    assert sorted(tag for _, tag in built) == sorted(tags)
+    assert reads <= tags
     assert sum(tag[0] == "C" for tag in tags) == 4 and len(tags) == 10
