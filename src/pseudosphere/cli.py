@@ -84,7 +84,8 @@ def _manifest_params(manifest):
 def _relation_jobs(manifest, job):
     """(dim, metrics, params, jobs) of a manifest: one (job, family,
     indices, signature, a) task per family the dimension admits, signature
-    and params vector.  Raises ValueError on an invalid manifest."""
+    and params vector.  Raises ValueError on an invalid manifest, and on
+    one that admits no relation job."""
     dim = manifest.get("dim", 3)
     if not isinstance(dim, int):
         raise ValueError(f"dim must be an integer, got {dim!r}")
@@ -104,6 +105,8 @@ def _relation_jobs(manifest, job):
     jobs = [(job, fam, default_indices(fam, dim), metric.diag, p.a)
             for fam in families if MIN_DIMENSION[fam] <= dim
             for metric in metrics for p in params]
+    if not jobs:
+        raise ValueError(f"no relation family of the manifest applies at dim {dim}")
     return dim, metrics, params, jobs
 
 

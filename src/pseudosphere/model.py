@@ -391,6 +391,10 @@ def verify_metric_independence(dim: int, params: ModelParams,
     """Same relations, same discovered coefficients, for every signature."""
     if len(signatures) < 1:
         raise ValueError("need at least one signature")
+    for metric in signatures:
+        if metric.dim != dim:
+            raise ValueError(f"signature {metric.diag} has {metric.dim} entries, "
+                             f"dim is {dim}")
     per_sig = []
     for metric in signatures:
         reports = []

@@ -15,7 +15,6 @@ for comparison.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -28,14 +27,13 @@ from .weylops import (
     commutator,
     anticommutator,
     reduce_mod_constraint,
-    specialize_hbar,
     _products,
 )
-from .model import ModelParams, _closes, build_H, build_Q, discover_linear_relation
+from .model import ModelParams, Ring, _closes, _generators
 
 LEADING_COEFF = 824633720832  # = 256 * 3221225472 = 3 * 2**38
 
-HLin = tuple[Fraction, Fraction]  # c0 + c1 * h, h a formal central element
+HLin = tuple[Fraction, Fraction]  # c0 + c1 * H, H the Hamiltonian, from the left
 
 
 def _hlin(c0, c1=0) -> HLin:
@@ -96,32 +94,25 @@ class ABCRealization:
     q23_residual_vanishes: bool
 
 
-def abc_realization(metric: Metric, params: ModelParams) -> ABCRealization:
-    """A = Q_12, B = Q_13, C = [A, B] at hbar = 1, plus Q_23 reconstructed
-    from the discovered linear relation (residual checked, not assumed).
+# The generator lookup at hbar = 1: a J term's scalar sits at h^0, and
+# C_ijk is the plain commutator [Q_ij, Q_ik].
+HBAR_ONE = Ring(WeylOp, lambda c: {0: Fraction(c)}, commutator, _products)
 
-    Memoized per (metric, params): the form and Casimir certificates of
-    one (metric, params) share a single build."""
+
+def abc_realization(metric: Metric, params: ModelParams) -> ABCRealization:
+    """A = Q_12, B = Q_13, C = [A, B] and H at hbar = 1, each built once by
+    one lookup over ``HBAR_ONE``, nothing cached; Q_23 = -(H + A + B +
+    sum_i a_i), the linear relation that holds modulo the quadric in every
+    signature, checked (not assumed) against the directly built Q_23."""
     if metric.dim != 3:
         raise ValueError("the Daskaloyannis treatment is for d = 3")
-    return _abc_realization(metric, params)
-
-
-@functools.lru_cache(maxsize=8)
-def _abc_realization(metric: Metric, params: ModelParams) -> ABCRealization:
-    A = specialize_hbar(build_Q(metric, params, 0, 1), 1)
-    B = specialize_hbar(build_Q(metric, params, 0, 2), 1)
-    H = specialize_hbar(build_H(metric, params), 1)
-    C = commutator(A, B)
-    rel = discover_linear_relation(metric, params)
-    # sum alpha_ij Q_ij - alpha_0 H - alpha_00 = 0, solved for Q_23
-    a23 = rel.alpha[(1, 2)]
-    Q23 = (H.scale(rel.alpha_0) + WeylOp.const(3, rel.alpha_00)
-           - A.scale(rel.alpha[(0, 1)])
-           - B.scale(rel.alpha[(0, 2)])).scale(Fraction(1) / a23)
-    direct = specialize_hbar(build_Q(metric, params, 1, 2), 1)
-    return ABCRealization(A=A, B=B, C=C, H=H, Q23=Q23,
-                          q23_residual_vanishes=_closes(Q23 - direct, metric)[0])
+    gen = _generators(HBAR_ONE, metric, params)
+    A, B, H = gen("Q", 0, 1), gen("Q", 0, 2), gen("H")
+    I = WeylOp.const(3, 1)
+    Q23 = _products((H, I, 0, -1, 0), (A, I, 0, -1, 0), (B, I, 0, -1, 0),
+                    (I, I, 0, -sum(params.a), 0))
+    return ABCRealization(A=A, B=B, C=gen("C", 0, 1, 2), H=H, Q23=Q23,
+                          q23_residual_vanishes=_closes(Q23 - gen("Q", 1, 2), metric)[0])
 
 
 def verify_daskaloyannis_form(metric: Metric, params: ModelParams,
@@ -400,11 +391,17 @@ class SpectrumLevel:
     method: str = "analytic"
 
 
+def _check_count(name, n):
+    if n is not None and n < 0:
+        raise ValueError(f"{name} must be at least 0, got {n}")
+
+
 def analytic_spectrum_h2(l, max_levels=None) -> list[SpectrumLevel]:
     """Discrete H^2 spectrum: E = 1/4 - (l3 - l1 - l2 - 2(P+1))^2 over all
     P = n + m with l3 - l1 - l2 - 2(P+1) > 0, l_i read as |l_i| (H
     depends on l_i^2 only); one level per P with degeneracy P + 1, at
-    most max_levels of them.  Finite (possibly empty) list."""
+    most max_levels (>= 0, else ValueError) of them; possibly none."""
+    _check_count("max_levels", max_levels)
     l1, l2, l3 = (abs(Fraction(x)) for x in l)
     out = []
     for P in itertools.count() if max_levels is None else range(max_levels):
@@ -418,7 +415,9 @@ def analytic_spectrum_h2(l, max_levels=None) -> list[SpectrumLevel]:
 
 def analytic_spectrum_s2(l, max_levels) -> list[SpectrumLevel]:
     """S^2 spectrum: E = (l1 + l2 + l3 + 2(P+1))^2 - 1/4, l_i read as
-    |l_i|, one level per P = 0..max_levels-1 with degeneracy P + 1."""
+    |l_i|, one level per P = 0..max_levels-1 (max_levels >= 0, else
+    ValueError) with degeneracy P + 1."""
+    _check_count("max_levels", max_levels)
     s = sum(abs(Fraction(x)) for x in l)
     return [SpectrumLevel(E=(s + 2 * (P + 1)) ** 2 - Fraction(1, 4), n=0, m=P,
                           P=P, degeneracy=P + 1)
@@ -448,8 +447,9 @@ def find_spectrum(params: ModelParams, max_p: int,
     Etilde puts p + 1 + u on an (Etilde, m3)-root), and
     Phi(nu + u) > 0 for nu = 1..p is checked exactly.  flip = +1 keeps
     Etilde < 0, flip = -1 keeps Etilde > 0.  An empty list is a valid
-    result.
+    result; a negative max_p raises ValueError.
     """
+    _check_count("max_p", max_p)
     if sign_mode == "all":
         patterns = ALL_SIGN_PATTERNS
     elif isinstance(sign_mode, str) and sign_mode in SURFACES:

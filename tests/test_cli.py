@@ -82,17 +82,27 @@ def test_invalid_manifest_exit_2(command, manifest, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+NOTHING_TO_CHECK = "the manifest lists no signature or no params vector"
+
+
 @pytest.mark.parametrize("command", ["verify-algebra", "classical-check"])
-@pytest.mark.parametrize("empty", ["signatures", "params"])
-def test_manifest_with_nothing_to_check_exit_2(command, empty, tmp_path, capsys):
-    # an empty list would give a report with no record, or (verify-algebra)
-    # a linear-relation record over no signature
+@pytest.mark.parametrize("manifest,message", [
+    pytest.param(dict(DEFAULT_MANIFEST, signatures=[]), NOTHING_TO_CHECK, id="signatures"),
+    pytest.param(dict(DEFAULT_MANIFEST, params=[]), NOTHING_TO_CHECK, id="params"),
+    pytest.param({"dim": 2, "signatures": "all", "params": [{"a": ["1", "2"]}],
+                  "relations": ["qq_c"]},
+                 "no relation family of the manifest applies at dim 2", id="relations"),
+])
+def test_manifest_with_nothing_to_check_exit_2(command, manifest, message, tmp_path,
+                                               capsys):
+    # an empty list, or families the dimension does not admit, would give
+    # a report with no record, or (verify-algebra) a linear-relation record
+    # over no signature
     mpath = tmp_path / "m.json"
-    mpath.write_text(json.dumps(dict(DEFAULT_MANIFEST, **{empty: []})))
+    mpath.write_text(json.dumps(manifest))
     assert run([command, "--manifest", str(mpath)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("pseudosphere: the manifest lists no signature "
-                            "or no params vector\n")
+    assert captured.err == f"pseudosphere: {message}\n"
     assert captured.out == ""
 
 

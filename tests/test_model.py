@@ -274,6 +274,12 @@ class TestMetricIndependence:
             families=("symmetry",))
         assert rep["passed"]
 
+    def test_dim_must_match_every_signature(self):
+        with pytest.raises(ValueError, match="dim is 5"):
+            verify_metric_independence(
+                5, ModelParams.from_a((1, 2, 3)), [Metric((1, 1, 1)), Metric((1, -1, 1))],
+                families=("qc_adjacent", "symmetry"))
+
 
 def record_builds(monkeypatch):
     """Wrap the generator lookup's builder: the returned list collects

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pseudosphere import racah3
+from pseudosphere import model, racah3
 from pseudosphere.weylops import Metric, commutator, vanishes_mod_constraint
 from pseudosphere.model import ModelParams
 from pseudosphere.racah3 import (
@@ -112,29 +112,40 @@ class TestCasimir:
                 checked += 1
         assert checked >= 5
 
-    def test_certificates_share_one_realization(self, monkeypatch):
-        # the form and Casimir certificates of one (metric, params) build
-        # the realization once, and report what two builds reported
+    def test_each_certificate_builds_each_generator_once(self, monkeypatch):
+        # one lookup per certificate: H, Q_01, Q_02, Q_12 and C_012, each
+        # once, and no linear solve (the spy on the nullspace catches a
+        # discover_linear_relation reached through any import)
         m = Metric((1, -1, 1))
         p = ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
-        builds = []
-        build_H = racah3.build_H
-        monkeypatch.setattr(racah3, "build_H",
-                            lambda *args: builds.append(args) or build_H(*args))
+        built, solves = [], []
+        build, nullspace = model._build, model._nullspace
+        monkeypatch.setattr(model, "_build", lambda ring, metric, params, gen, *tag:
+                            built.append(tag) or build(ring, metric, params, gen, *tag))
+        monkeypatch.setattr(model, "_nullspace",
+                            lambda *args: solves.append(args) or nullspace(*args))
+        for certify in (verify_daskaloyannis_form, verify_casimir):
+            built.clear()
+            assert certify(m, p)["passed"]
+            assert sorted(built) == [("C", 0, 1, 2), ("H",), ("Q", 0, 1),
+                                     ("Q", 0, 2), ("Q", 1, 2)], certify
+        assert not solves
 
-        def certify():
-            return verify_daskaloyannis_form(m, p), verify_casimir(m, p)
+    @pytest.mark.parametrize("diag", [(1, -1, 1), (-1, -1, -1)])
+    def test_wrong_hamiltonian_is_data(self, diag, monkeypatch):
+        # H + s_1^2 on every ring: the closed-form Q_23 no longer matches
+        # the built one, and both certificates fail without raising
+        build = model._build
 
-        with monkeypatch.context() as mp:
-            mp.setattr(racah3, "_abc_realization",
-                       racah3._abc_realization.__wrapped__)
-            uncached = certify()
-        assert len(builds) == 2
-        racah3._abc_realization.cache_clear()
-        builds.clear()
-        assert certify() == uncached
-        assert len(builds) == 1
-        assert all(rep["passed"] for rep in uncached)
+        def bumped(ring, metric, params, gen, letter, *ix):
+            op = build(ring, metric, params, gen, letter, *ix)
+            return op + ring.op.coord(metric.dim, 0, 2) if letter == "H" else op
+
+        monkeypatch.setattr(model, "_build", bumped)
+        m, p = Metric(diag), ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
+        form = verify_daskaloyannis_form(m, p)
+        assert (form["q23_reconstruction"], form["passed"]) == (False, False)
+        assert verify_casimir(m, p)["passed"] is False
 
     def test_centrality_operator_level(self):
         m = Metric((1, 1, -1))
@@ -268,6 +279,14 @@ class TestSpectrum:
         assert analytic_spectrum_h2(l, max_levels=0) == []
         assert analytic_spectrum_s2(l, max_levels=0) == []
         assert analytic_spectrum_h2(l, max_levels=2) == analytic_spectrum_h2(l)[:2]
+
+    def test_negative_sizes_raise(self):
+        l = (F(1, 2), F(1, 2), F(25, 2))
+        with pytest.raises(ValueError, match="max_p must be at least 0, got -1"):
+            find_spectrum(ModelParams.from_l(l), -1)
+        for closed_form in (analytic_spectrum_h2, analytic_spectrum_s2):
+            with pytest.raises(ValueError, match="max_levels must be at least 0, got -2"):
+                closed_form(l, max_levels=-2)
 
     def test_sign_mode_list_is_a_triple(self):
         p = ModelParams.from_l((F(1, 2), F(1, 2), F(13, 2)))
@@ -502,6 +521,52 @@ class TestCasimirNormalForm:
             m = Metric(diag)
             r = abc_realization(m, random_params(rng))
             assert racah3._tangent(r.A, m) and racah3._tangent(r.B, m)
+
+
+def reference_realization(metric, params):
+    """The realization by the formal-hbar route: the QUANTUM lookup's
+    Q_01, Q_02, H and Q_12 specialized at hbar = 1, C = [A, B], and Q_23
+    solved from the coefficients discover_linear_relation measures."""
+    from pseudosphere.weylops import WeylOp, specialize_hbar
+    gen = model._generators(model.QUANTUM, metric, params)
+    A, B, H, Q12 = (specialize_hbar(gen(*tag), 1)
+                    for tag in (("Q", 0, 1), ("Q", 0, 2), ("H",), ("Q", 1, 2)))
+    rel = model.discover_linear_relation(metric, params)
+    # sum alpha_ij Q_ij - alpha_0 H - alpha_00 = 0, solved for Q_23
+    Q23 = (H.scale(rel.alpha_0) + WeylOp.const(3, rel.alpha_00)
+           - A.scale(rel.alpha[(0, 1)]) - B.scale(rel.alpha[(0, 2)])
+           ).scale(1 / rel.alpha[(1, 2)])
+    return racah3.ABCRealization(A=A, B=B, C=commutator(A, B), H=H, Q23=Q23,
+                                 q23_residual_vanishes=model._closes(Q23 - Q12, metric)[0])
+
+
+def realization_params(diag):
+    """Four seeded a per signature: a zero entry in the first, a negative
+    one in the second."""
+    rng = random.Random(1600 + ALL_DIAGS.index(diag))
+    a = [list(random_params(rng).a) for _ in range(4)]
+    a[0][0] = F(0)
+    a[1][1] = -abs(a[1][1]) or F(-1, 3)
+    return [ModelParams.from_a(x) for x in a]
+
+
+def certificates(m, p):
+    return [verify_daskaloyannis_form(m, p), verify_daskaloyannis_form(m, p, "published"),
+            verify_casimir(m, p)]
+
+
+class TestRealizationReference:
+    @pytest.mark.parametrize("diag", ALL_DIAGS)
+    def test_lookup_equals_formal_hbar_route(self, diag, monkeypatch):
+        m = Metric(diag)
+        for p in realization_params(diag):
+            got, want = abc_realization(m, p), reference_realization(m, p)
+            assert got == want, p.a
+            assert got.q23_residual_vanishes
+            reports = certificates(m, p)
+            with monkeypatch.context() as mp:
+                mp.setattr(racah3, "abc_realization", reference_realization)
+                assert certificates(m, p) == reports, p.a
 
 
 # each structure constant, as (field, component or None), with the sides
