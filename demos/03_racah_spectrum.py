@@ -3,8 +3,9 @@
 The d=3 quadratic algebra is put in (A, B, C) form, its Casimir is
 expanded and certified central, and the factorized structure function
 turns finite-dimensional unitary representations into a discrete energy
-spectrum -- all exact."""
+spectrum -- all exact.  Exits 1 when a certificate it prints is false."""
 
+import sys
 from fractions import Fraction as F
 
 from pseudosphere import Metric, ModelParams
@@ -20,6 +21,7 @@ from pseudosphere.racah3 import (
 
 
 def main():
+    failed = []     # every printed certificate that is false
     params = ModelParams.from_l((F(1, 2), F(1, 2), F(13, 2)))
 
     print("=" * 70)
@@ -34,6 +36,8 @@ def main():
         rep = verify_daskaloyannis_form(Metric(diag), params)
         print(f"  diag{diag}: [A,C] ok={rep['AC']}  [B,C] ok={rep['BC']}  "
               f"Q23 reconstruction ok={rep['q23_reconstruction']}")
+        if not rep["passed"]:
+            failed.append(f"structure-constant form, diag{diag}")
 
     print()
     print("=" * 70)
@@ -44,6 +48,8 @@ def main():
     rep = verify_casimir(Metric((1, 1, -1)), params)
     print(f"  equals realized form: {rep['equals_realized']}, "
           f"central: {rep['central_A'] and rep['central_B']}")
+    if not rep["passed"]:
+        failed.append("Casimir")
 
     print()
     print("=" * 70)
@@ -56,6 +62,8 @@ def main():
     for s in sols:
         print(f"    p={s.p}: E = {s.E} (degeneracy {s.degeneracy}, "
               f"certified={s.certified})")
+        if not s.certified:
+            failed.append(f"representation p={s.p}")
 
     print()
     print("=" * 70)
@@ -67,7 +75,12 @@ def main():
         Metric((1, 1, 1)), ModelParams.from_l((F(1, 2),) * 3))
     print(f"  S^2: matches = {sphere['matches']} (global flip = overall "
           "Hamiltonian sign)")
+    failed += [f"{name} match" for name, report in (("H^2", rep), ("S^2", sphere))
+               if not report["passed"]]
+    for name in failed:
+        print(f"false certificate: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

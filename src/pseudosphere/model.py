@@ -170,10 +170,12 @@ def build_C(metric: Metric, params: ModelParams, i: int, j: int, k: int) -> Weyl
 # product of the word's generators (at most two), left to right, with no a
 # factor when p is None and 1 for the empty word.
 #
-# The right-hand sides are the measured structure constants, obtained by
-# exact linear solves over the operator term basis; they are the same for
-# every signature and parameter set, and the classical Poisson algebra has
-# the same orientation.  Relative to the published table, qc_adjacent,
+# The right-hand sides are stated by hand and certified by exact
+# residuals (``verify_relation``), not solved for; only the linear
+# relation among H and the Q_ij is measured, by an exact linear solve
+# (``discover_linear_relation``).  They are the same for every signature
+# and parameter set, and the classical Poisson algebra has the same
+# orientation.  Relative to the published table, qc_adjacent,
 # qc_disjoint, cc_share2 and cc_share1 carry a global sign -1, except that
 # the leading product term of each C-C relation keeps its published sign;
 # cc_disjoint agrees with it.

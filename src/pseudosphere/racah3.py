@@ -240,17 +240,29 @@ def _central_mod_constraint(Kn: WeylOp, Y: WeylOp, metric: Metric) -> bool:
 
 
 def verify_casimir(metric: Metric, params: ModelParams) -> dict:
-    """Three independent exact checks certifying the (alpha*gamma - delta)
-    resolution: operator equality with the realized K(H) modulo the
-    quadric, and centrality with respect to A and B modulo the quadric.
+    """Exact checks certifying the (alpha*gamma - delta) resolution:
+    operator equality with the realized K(H) modulo the quadric, and
+    centrality with respect to A and B modulo the quadric.
 
-    All three read Kn, the normal form of the expanded K modulo the
-    quadric (K - Kn is in (q+1)·W).  equals_realized tests Kn - K(H),
-    which is in (q+1)·W exactly when K - K(H) is.  central_A and
-    central_B test [Kn, A] and [Kn, B], which is exact because A and B
-    are tangent to the quadric; that tangency, [q, A] = [q, B] = 0, is
-    checked as an ambient zero in the same call, and a failure makes the
-    centrality verdict false (``_central_mod_constraint``)."""
+    K is the expanded generator-form Casimir and Kn its normal form
+    modulo the quadric (K - Kn is in (q+1)·W).  equals_realized tests
+    Kn - K(H), which is in (q+1)·W exactly when K - K(H) is.
+
+    central_A and central_B certify [K, A] and [K, B] in (q+1)·W, by one
+    of two routes, named by centrality_route:
+
+    - "derived", when equals_realized holds and H, A and B are tangent
+      to the quadric ([q, Y] = 0 exactly, ``_tangent``): central_Y is
+      whether [H, Y] is in (q+1)·W.  It is a corollary, not an
+      independent check: with K = K(H) + (q+1)X and Y tangent,
+      [K, Y] = [K(H), Y] + (q+1)[X, Y], and
+      [K(H), Y] = k2(H[H, Y] + [H, Y]H) + k1[H, Y]; H tangent commutes
+      with q+1, so [H, Y] = (q+1)Z puts [K, Y] in (q+1)·W.  A false
+      verdict here says only that [H, Y] does not close.
+    - "bracket", when that premise fails: central_Y tests [Kn, Y]
+      itself, exact for Y tangent; a Y that is not tangent fails
+      (``_central_mod_constraint``).  A wrong K thus still gets
+      centrality verdicts of its own."""
     r = abc_realization(metric, params)
     ce = casimir(params)
     Kn = reduce_mod_constraint(_casimir_expansion(r, ce.constants), metric)
@@ -259,12 +271,16 @@ def verify_casimir(metric: Metric, params: ModelParams) -> dict:
     # Kn - K(H) in one accumulator, K(H) = k2 H^2 + k1 H + k0
     eq = _closes(_products((Kn, I, 0), (H, H, 0, -k2, 0), (H, I, 0, -k1, 0),
                            (I, I, 0, -k0, 0)), metric)[0]
-    central_A = _central_mod_constraint(Kn, r.A, metric)
-    central_B = _central_mod_constraint(Kn, r.B, metric)
+    if eq and all(_tangent(Y, metric) for Y in (H, r.A, r.B)):
+        route, central = "derived", lambda Y: _closes(commutator(H, Y), metric)[0]
+    else:
+        route, central = "bracket", lambda Y: _central_mod_constraint(Kn, Y, metric)
+    central_A, central_B = central(r.A), central(r.B)
     return {"signature": metric.signature,
             "equals_realized": eq,
             "central_A": central_A,
             "central_B": central_B,
+            "centrality_route": route,
             "passed": eq and central_A and central_B}
 
 
@@ -416,7 +432,10 @@ def analytic_spectrum_h2(l, max_levels=None) -> list[SpectrumLevel]:
 def analytic_spectrum_s2(l, max_levels) -> list[SpectrumLevel]:
     """S^2 spectrum: E = (l1 + l2 + l3 + 2(P+1))^2 - 1/4, l_i read as
     |l_i|, one level per P = 0..max_levels-1 (max_levels >= 0, else
-    ValueError) with degeneracy P + 1."""
+    ValueError) with degeneracy P + 1.  The spectrum is infinite, so
+    max_levels=None raises ValueError."""
+    if max_levels is None:
+        raise ValueError("max_levels is required: the S^2 spectrum is infinite")
     _check_count("max_levels", max_levels)
     s = sum(abs(Fraction(x)) for x in l)
     return [SpectrumLevel(E=(s + 2 * (P + 1)) ** 2 - Fraction(1, 4), n=0, m=P,

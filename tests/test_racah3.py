@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pseudosphere import model, racah3
 from pseudosphere.weylops import Metric, commutator, vanishes_mod_constraint
@@ -287,6 +288,9 @@ class TestSpectrum:
         for closed_form in (analytic_spectrum_h2, analytic_spectrum_s2):
             with pytest.raises(ValueError, match="max_levels must be at least 0, got -2"):
                 closed_form(l, max_levels=-2)
+        # None means every level; the S^2 spectrum has infinitely many
+        with pytest.raises(ValueError, match="max_levels is required"):
+            analytic_spectrum_s2(l, None)
 
     def test_sign_mode_list_is_a_triple(self):
         p = ModelParams.from_l((F(1, 2), F(1, 2), F(13, 2)))
@@ -446,7 +450,7 @@ def reference_verify_casimir(metric, params, K):
     from pseudosphere.model import _closes
     from pseudosphere.weylops import WeylOp, compose
     r = abc_realization(metric, params)
-    ce = casimir(params)
+    ce = racah3.casimir(params)     # read at call time, so a patched K(H) shows
     H = r.H
     K_real = (compose(H, H).scale(ce.realized_form[2]) + H.scale(ce.realized_form[1])
               + WeylOp.const(3, ce.realized_form[0]))
@@ -455,6 +459,29 @@ def reference_verify_casimir(metric, params, K):
     cB = _closes(commutator(K, r.B), metric)[0]
     return {"signature": metric.signature, "equals_realized": eq,
             "central_A": cA, "central_B": cB, "passed": eq and cA and cB}
+
+
+# each structure constant, as (field, component or None), with the sides
+# of the form check whose right-hand side reads it
+CONSTANT_SIDES = [("alpha", None, {"AC", "BC"}), ("gamma", None, {"AC", "BC"}),
+                  ("epsilon", None, {"AC"}), ("a_const", None, {"BC"}),
+                  ("delta", 0, {"AC", "BC"}), ("delta", 1, {"AC", "BC"}),
+                  ("d_const", 0, {"BC"}), ("d_const", 1, {"BC"}),
+                  ("zeta", 0, {"AC"}), ("zeta", 1, {"AC"}),
+                  ("z_const", 0, {"BC"}), ("z_const", 1, {"BC"})]
+
+
+def _bumped(k, name, comp):
+    from dataclasses import replace
+    v = getattr(k, name)
+    if comp is None:
+        return replace(k, **{name: v + 1})
+    return replace(k, **{name: tuple(x + (i == comp) for i, x in enumerate(v))})
+
+
+def verdicts(rep):
+    """A verify_casimir report without the route that decided centrality."""
+    return {key: v for key, v in rep.items() if key != "centrality_route"}
 
 
 ALL_DIAGS = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
@@ -478,8 +505,9 @@ class TestCasimirNormalForm:
             m, p = Metric(diag), random_params(rng)
             K = casimir_operator(m, p)
             got = verify_casimir(m, p)
-            assert got == reference_verify_casimir(m, p, K)
+            assert verdicts(got) == reference_verify_casimir(m, p, K)
             assert got["passed"], (diag, p.a)
+            assert got["centrality_route"] == "derived"
 
     @pytest.mark.parametrize("diag", [(1, -1, 1), (-1, -1, -1)])
     def test_mutated_casimir_fails(self, diag, monkeypatch):
@@ -494,9 +522,10 @@ class TestCasimirNormalForm:
             monkeypatch.setattr(racah3, "_casimir_expansion",
                                 lambda r, k: expand(r, k) + extra(r))
             got = verify_casimir(m, p)
-            assert got == reference_verify_casimir(m, p, casimir_operator(m, p))
+            assert verdicts(got) == reference_verify_casimir(m, p, casimir_operator(m, p))
             assert (got["equals_realized"], got["central_A"], got["central_B"],
-                    got["passed"]) == (False, False, want_B, False)
+                    got["passed"], got["centrality_route"]) == \
+                (False, False, want_B, False, "bracket")
 
     def test_non_tangent_operator_fails_the_gate(self):
         # K = q + 1 reduces to 0, so [Kn, Y] = 0 for every Y; but
@@ -515,12 +544,94 @@ class TestCasimirNormalForm:
             assert not _closes(commutator(K, Y), m)[0]
             assert not racah3._central_mod_constraint(Kn, Y, m)
 
-    def test_generators_are_tangent(self):
-        rng = random.Random(1105)
+    @settings(max_examples=15, deadline=None)
+    @given(a=st.tuples(*[st.fractions(min_value=-5, max_value=5, max_denominator=9)] * 3))
+    def test_generators_are_tangent(self, a):
+        # H, A and B are tangent on every signature, [q, Y] = 0 exactly:
+        # the premise of the derived centrality route and of the bracket
+        # route's shortcut
         for diag in ALL_DIAGS:
             m = Metric(diag)
-            r = abc_realization(m, random_params(rng))
-            assert racah3._tangent(r.A, m) and racah3._tangent(r.B, m)
+            r = abc_realization(m, ModelParams.from_a(a))
+            assert all(racah3._tangent(Y, m) for Y in (r.H, r.A, r.B)), diag
+
+    @pytest.mark.parametrize("diag", ALL_DIAGS)
+    def test_derived_route_equals_bracket_route(self, diag):
+        # two seeded a per signature, one with a zero entry, one with a
+        # negative one: the derived verdicts equal the direct brackets'
+        m = Metric(diag)
+        for p in realization_params(diag)[:2]:
+            got = verify_casimir(m, p)
+            assert got["centrality_route"] == "derived", p.a
+            assert verdicts(got) == reference_verify_casimir(m, p, casimir_operator(m, p)), p.a
+
+    @pytest.mark.parametrize("name,comp", [(name, comp) for name, comp, _ in CONSTANT_SIDES]
+                             + [("K", power) for power in (2, 1, 0)])
+    def test_bumped_constant_takes_bracket_route(self, name, comp, monkeypatch):
+        # a +1 bump of a structure constant, or of the K(H) coefficient of
+        # H^comp, breaks equals_realized; centrality is then bracketed, and
+        # the verdicts equal the direct route's
+        from dataclasses import replace
+        if name == "K":
+            realized = racah3.casimir
+
+            def bumped(params):
+                ce = realized(params)
+                return replace(ce, realized_form={n: c + (n == comp)
+                                                  for n, c in ce.realized_form.items()})
+
+            monkeypatch.setattr(racah3, "casimir", bumped)
+        else:
+            measured = racah3.structure_constants
+            monkeypatch.setattr(racah3, "structure_constants",
+                                lambda params, convention="measured":
+                                _bumped(measured(params, convention), name, comp))
+        m, p = Metric((1, -1, 1)), ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
+        got = verify_casimir(m, p)
+        assert (got["equals_realized"], got["centrality_route"]) == (False, "bracket")
+        assert verdicts(got) == reference_verify_casimir(m, p, casimir_operator(m, p))
+
+    def test_derived_route_needs_h_to_close(self, monkeypatch):
+        # A replaced by the rotation L = g_1 s_1 D_2 - g_2 s_2 D_1, which is
+        # tangent but does not commute with H modulo the quadric: with
+        # K = K(H) exactly, centrality is derived, and fails for L alone
+        from pseudosphere.weylops import WeylOp, compose
+        m = Metric((1, -1, 1))
+        L = (compose(WeylOp.coord(3, 0), WeylOp.deriv(3, 1)).scale(m.diag[0])
+             - compose(WeylOp.coord(3, 1), WeylOp.deriv(3, 0)).scale(m.diag[1]))
+        got, bracket = patched_certificate(monkeypatch, m, A=L)
+        assert racah3._tangent(L, m)
+        assert (got["equals_realized"], got["centrality_route"]) == (True, "derived")
+        assert (got["central_A"], got["central_B"]) == (False, True) == bracket
+
+    @pytest.mark.parametrize("which", ["H", "A", "B"])
+    def test_non_tangent_generator_takes_bracket_route(self, which, monkeypatch):
+        # Y + s_1 D_2 is not tangent: with K = K(H) exactly, the derived
+        # route's premise fails, and the brackets decide centrality
+        from pseudosphere.weylops import WeylOp, compose
+        m = Metric((-1, 1, 1))
+        r = abc_realization(m, ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3))))
+        Y = getattr(r, which) + compose(WeylOp.coord(3, 0), WeylOp.deriv(3, 1))
+        got, bracket = patched_certificate(monkeypatch, m, **{which: Y})
+        assert (got["equals_realized"], got["centrality_route"]) == (True, "bracket")
+        assert (got["central_A"], got["central_B"]) == bracket
+
+
+def patched_certificate(monkeypatch, m, **ops):
+    """verify_casimir on a realization with some of H, A and B replaced by
+    ops and with K = K(H) exactly, so that equals_realized holds; and the
+    bracket route's (central_A, central_B) on the same operators."""
+    from dataclasses import replace
+    from pseudosphere.weylops import WeylOp, compose, reduce_mod_constraint
+    p = ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
+    r = replace(abc_realization(m, p), **ops)
+    k = casimir(p).realized_form
+    K = compose(r.H, r.H).scale(k[2]) + r.H.scale(k[1]) + WeylOp.const(3, k[0])
+    monkeypatch.setattr(racah3, "abc_realization", lambda *args: r)
+    monkeypatch.setattr(racah3, "_casimir_expansion", lambda *args: K)
+    Kn = reduce_mod_constraint(K, m)
+    return verify_casimir(m, p), tuple(racah3._central_mod_constraint(Kn, Y, m)
+                                       for Y in (r.A, r.B))
 
 
 def reference_realization(metric, params):
@@ -567,24 +678,6 @@ class TestRealizationReference:
             with monkeypatch.context() as mp:
                 mp.setattr(racah3, "abc_realization", reference_realization)
                 assert certificates(m, p) == reports, p.a
-
-
-# each structure constant, as (field, component or None), with the sides
-# of the form check whose right-hand side reads it
-CONSTANT_SIDES = [("alpha", None, {"AC", "BC"}), ("gamma", None, {"AC", "BC"}),
-                  ("epsilon", None, {"AC"}), ("a_const", None, {"BC"}),
-                  ("delta", 0, {"AC", "BC"}), ("delta", 1, {"AC", "BC"}),
-                  ("d_const", 0, {"BC"}), ("d_const", 1, {"BC"}),
-                  ("zeta", 0, {"AC"}), ("zeta", 1, {"AC"}),
-                  ("z_const", 0, {"BC"}), ("z_const", 1, {"BC"})]
-
-
-def _bumped(k, name, comp):
-    from dataclasses import replace
-    v = getattr(k, name)
-    if comp is None:
-        return replace(k, **{name: v + 1})
-    return replace(k, **{name: tuple(x + (i == comp) for i, x in enumerate(v))})
 
 
 class TestFusedResidualsLoadBearing:
