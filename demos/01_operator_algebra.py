@@ -4,10 +4,11 @@ Builds the generic superintegrable system on a pseudo-sphere, verifies
 that every generator commutes with the Hamiltonian, closes the quadratic
 algebra with exactly zero residual, and rediscovers the linear relation
 tying the second-order symmetries to H -- all in rational arithmetic
-with a formal hbar.
+with a formal hbar.  Exits 1 when a certificate it prints is false.
 """
 
 import itertools
+import sys
 from fractions import Fraction as F
 
 from pseudosphere import (
@@ -26,6 +27,7 @@ MINIMAL_DIMS = {"symmetry": 3, "qq_c": 3, "qc_adjacent": 3, "qc_disjoint": 4,
 
 
 def main():
+    failed = []     # every printed certificate that is false
     print("=" * 70)
     print("1. The generic system on the two-sheeted hyperboloid")
     print("=" * 70)
@@ -49,6 +51,8 @@ def main():
         tag = "mod constraint" if rep.reduced else "ambient identity"
         print(f"  {family:12s} d={d}  passed={rep.passed}  ({tag}, "
               f"{rep.elapsed_ms:.0f} ms)")
+        if not rep.passed:
+            failed.append(f"relation {family}")
 
     print()
     print("=" * 70)
@@ -63,7 +67,12 @@ def main():
               f"alpha_00 = {rel.alpha_00}")
     print(f"distinct coefficient sets across 8 signatures: {len(coeffs)}")
     print("i.e.  sum Q_ij + H + sum a_i = 0  on every pseudo-sphere")
+    if len(coeffs) != 1:
+        failed.append("one linear relation for every metric")
+    for name in failed:
+        print(f"false certificate: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,9 +3,11 @@
 The same symmetry algebra lives on phase space with Poisson brackets in
 place of commutators.  The demo verifies the classical relations and
 measures the sign with which the quantum bracket degenerates into the
-classical one -- a single global constant."""
+classical one -- a single global constant.  Exits 1 when a certificate
+it prints is false."""
 
 import itertools
+import sys
 from fractions import Fraction as F
 
 from pseudosphere import Metric, ModelParams
@@ -20,6 +22,7 @@ from pseudosphere.model import MIN_DIMENSION, default_indices
 
 
 def main():
+    failed = []     # every printed certificate that is false
     print("=" * 70)
     print("1. Canonical brackets")
     print("=" * 70)
@@ -44,6 +47,8 @@ def main():
         p = ModelParams.from_a(tuple(F(k + 2, 2 * k + 3) for k in range(d)))
         r = verify_classical_relation(family, default_indices(family, d), m, p)
         print(f"  {family:12s} d={d}  passed={r['passed']}")
+        if not r["passed"]:
+            failed.append(f"classical relation {family}")
 
     print()
     print("=" * 70)
@@ -53,9 +58,14 @@ def main():
         rep = correspondence_check(Metric(diag), params)
         print(f"  diag{diag}: consistent={rep['passed']} "
               f"sign={rep['global_sign']}")
+        if not rep["passed"]:
+            failed.append(f"correspondence diag{diag}")
     print("sigma((1/hbar)[X, Y]) = -{sigma X, sigma Y} for every generator "
           "pair, every signature")
+    for name in failed:
+        print(f"false certificate: {name}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

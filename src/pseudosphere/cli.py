@@ -61,23 +61,35 @@ DEFAULT_MANIFEST = {
 }
 
 
+def _shape(value, kind, what):
+    """value if it is a kind (list or dict), else ValueError: what, got value."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what}, got {value!r}")
+    return value
+
+
 def _manifest_metrics(manifest):
     dim = manifest.get("dim", 3)
     sigs = manifest.get("signatures", "all")
     if sigs == "all":
         return [Metric(d) for d in itertools.product((1, -1), repeat=dim)]
-    return [Metric(tuple(s)) for s in sigs]
+    return [Metric(tuple(_shape(s, list, "a signature must be a list")))
+            for s in _shape(sigs, list, 'signatures must be "all" or a list')]
 
 
 def _manifest_params(manifest):
     out = []
-    for entry in manifest.get("params", []):
-        if "l" in entry:
-            out.append(ModelParams.from_l(tuple(Fraction(x) for x in entry["l"])))
-        elif "a" in entry:
-            out.append(ModelParams.from_a(tuple(Fraction(x) for x in entry["a"])))
-        else:
+    for entry in _shape(manifest.get("params", []), list, "params must be a list of objects"):
+        key = next((k for k in ("l", "a") if k in entry), None) \
+            if isinstance(entry, dict) else None
+        if key is None:
             raise ValueError(f"params entry {entry} has neither 'a' nor 'l'")
+        what = f"params entry {key} must be a list of rationals"
+        try:
+            vec = tuple(Fraction(x) for x in _shape(entry[key], list, what))
+        except (TypeError, ZeroDivisionError):
+            raise ValueError(f"{what}, got {entry[key]!r}") from None
+        out.append(ModelParams.from_l(vec) if key == "l" else ModelParams.from_a(vec))
     return out
 
 
@@ -86,6 +98,7 @@ def _relation_jobs(manifest, job):
     indices, signature, a) task per family the dimension admits, signature
     and params vector.  Raises ValueError on an invalid manifest, and on
     one that admits no relation job."""
+    _shape(manifest, dict, "the manifest must be a JSON object")
     dim = manifest.get("dim", 3)
     if not isinstance(dim, int):
         raise ValueError(f"dim must be an integer, got {dim!r}")
@@ -98,9 +111,10 @@ def _relation_jobs(manifest, job):
         if len(vec) != dim:
             raise ValueError(f"{kind} ({', '.join(map(str, vec))}) has {len(vec)} "
                              f"entries, the manifest's dim is {dim}")
-    families = manifest.get("relations", RELATION_FAMILIES)
+    families = _shape(manifest.get("relations", list(RELATION_FAMILIES)), list,
+                      "relations must be a list of family names")
     for fam in families:
-        if fam not in MIN_DIMENSION:
+        if not isinstance(fam, str) or fam not in MIN_DIMENSION:
             raise ValueError(f"unknown relation family {fam!r}")
     jobs = [(job, fam, default_indices(fam, dim), metric.diag, p.a)
             for fam in families if MIN_DIMENSION[fam] <= dim

@@ -219,12 +219,8 @@ def principal_symbol(op: WeylOp) -> PhasePoly:
     A normal-ordered term c(h) s^A D^B contributes the coefficient of
     h^|B| in c times s^A p^B; higher powers of h vanish in the limit.
     """
-    out: dict[tuple[Mono, Mono], Fraction] = {}
-    for (A, B), hp in op.terms.items():
-        c = hp.get(sum(B), _ZERO)
-        if c:
-            out[(A, B)] = out.get((A, B), _ZERO) + c
-    return PhasePoly(op.dim, {k: v for k, v in out.items() if v})
+    return PhasePoly(op.dim, {(A, B): c for (A, B), hp in op.terms.items()
+                              if (c := hp.get(sum(B), _ZERO))})
 
 
 def correspondence_check(metric: Metric, params: ModelParams,

@@ -190,7 +190,7 @@ def casimir_operator(metric: Metric, params: ModelParams) -> WeylOp:
                               structure_constants(params))
 
 
-def _casimir_expansion(r: ABCRealization, k: QuadraticAlgebraConstants) -> WeylOp:
+def _casimir_expansion(r: ABCRealization, k: QuadraticAlgebraConstants, *extra) -> WeylOp:
     """K = C^2 - alpha {A^2, B} - gamma {A, B^2} + (alpha gamma - delta) {A, B}
     + (gamma^2 - epsilon) B^2 + (gamma delta - 2 zeta) B + (2a/3) A^3
     + (d + a gamma/3 + alpha^2) A^2 + (a epsilon/3 + alpha delta + 2z) A,
@@ -200,7 +200,8 @@ def _casimir_expansion(r: ABCRealization, k: QuadraticAlgebraConstants) -> WeylO
     coefficients are collected, so that H multiplies from the left once,
     and the large products are summed in one integer accumulator
     (``weylops._products``), each coefficient applied to the smaller
-    operand."""
+    operand.  Any extra ``_products`` pairs join the same accumulator:
+    ``verify_casimir`` passes -K(H) there and gets K - K(H) in one sum."""
     A, B, C, H = r.A, r.B, r.C, r.H
     AA, BB, AB = compose(A, A), compose(B, B), anticommutator(A, B)
     al, ga, a = k.alpha, k.gamma, k.a_const
@@ -217,7 +218,7 @@ def _casimir_expansion(r: ABCRealization, k: QuadraticAlgebraConstants) -> WeylO
              (H, linear, 0), (free, WeylOp.const(3, 1), 0)]
     if a:
         pairs.append((A.scale(2 * a / 3), AA, 0))
-    return _products(*pairs)
+    return _products(*pairs, *extra)
 
 
 def _tangent(Y: WeylOp, metric: Metric) -> bool:
@@ -244,9 +245,9 @@ def verify_casimir(metric: Metric, params: ModelParams) -> dict:
     operator equality with the realized K(H) modulo the quadric, and
     centrality with respect to A and B modulo the quadric.
 
-    K is the expanded generator-form Casimir and Kn its normal form
-    modulo the quadric (K - Kn is in (q+1)·W).  equals_realized tests
-    Kn - K(H), which is in (q+1)·W exactly when K - K(H) is.
+    equals_realized tests K - K(H) in (q+1)·W, K the expanded
+    generator-form Casimir, summed in the expansion's own accumulator
+    (``_casimir_expansion`` with the three K(H) pairs).
 
     central_A and central_B certify [K, A] and [K, B] in (q+1)·W, by one
     of two routes, named by centrality_route:
@@ -259,21 +260,22 @@ def verify_casimir(metric: Metric, params: ModelParams) -> dict:
       [K(H), Y] = k2(H[H, Y] + [H, Y]H) + k1[H, Y]; H tangent commutes
       with q+1, so [H, Y] = (q+1)Z puts [K, Y] in (q+1)·W.  A false
       verdict here says only that [H, Y] does not close.
-    - "bracket", when that premise fails: central_Y tests [Kn, Y]
-      itself, exact for Y tangent; a Y that is not tangent fails
-      (``_central_mod_constraint``).  A wrong K thus still gets
-      centrality verdicts of its own."""
+    - "bracket", when that premise fails: K is expanded once more and
+      reduced to its normal form Kn modulo the quadric (K - Kn is in
+      (q+1)·W), and central_Y tests [Kn, Y], exact for Y tangent; a Y
+      that is not tangent fails (``_central_mod_constraint``).  A wrong
+      K thus still gets centrality verdicts of its own."""
     r = abc_realization(metric, params)
     ce = casimir(params)
-    Kn = reduce_mod_constraint(_casimir_expansion(r, ce.constants), metric)
     H, I = r.H, WeylOp.const(3, 1)
     k2, k1, k0 = (ce.realized_form[n] for n in (2, 1, 0))
-    # Kn - K(H) in one accumulator, K(H) = k2 H^2 + k1 H + k0
-    eq = _closes(_products((Kn, I, 0), (H, H, 0, -k2, 0), (H, I, 0, -k1, 0),
-                           (I, I, 0, -k0, 0)), metric)[0]
+    # K - K(H) in one accumulator, K(H) = k2 H^2 + k1 H + k0
+    eq = _closes(_casimir_expansion(r, ce.constants, (H, H, 0, -k2, 0), (H, I, 0, -k1, 0),
+                                    (I, I, 0, -k0, 0)), metric)[0]
     if eq and all(_tangent(Y, metric) for Y in (H, r.A, r.B)):
         route, central = "derived", lambda Y: _closes(commutator(H, Y), metric)[0]
     else:
+        Kn = reduce_mod_constraint(_casimir_expansion(r, ce.constants), metric)
         route, central = "bracket", lambda Y: _central_mod_constraint(Kn, Y, metric)
     central_A, central_B = central(r.A), central(r.B)
     return {"signature": metric.signature,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import add, sub
 
 Mono = tuple[int, ...]
@@ -88,8 +88,7 @@ class Metric:
 
     @property
     def signature(self) -> tuple[int, int]:
-        plus = sum(1 for e in self.diag if e == 1)
-        return (plus, len(self.diag) - plus)
+        return (self.diag.count(1), self.diag.count(-1))
 
 
 class TermDict:
@@ -262,12 +261,26 @@ def _leibniz_both(B: Mono, C: Mono, D: Mono, A: Mono, sign: int) -> tuple[tuple[
     return tuple((j, cf) for j, cf in merged.items() if cf)
 
 
-def _integer_terms(op: WeylOp):
-    """(den, [(A, B, [(h power, integer numerator over den)])]), den the
-    lcm of the scalar denominators."""
-    den = lcm(*(c.denominator for hp in op.terms.values() for c in hp.values()))
-    return den, [(A, B, [(k, c.numerator * (den // c.denominator)) for k, c in hp.items()])
-                 for (A, B), hp in op.terms.items()]
+def _integer_terms(op: TermDict):
+    """(den, [(A, B, part, n)]): the one integer view of a term
+    dictionary, an entry per scalar component (part, v) of ``op._parts``
+    (for a WeylOp, part is the power of h) with n = v * den, den the lcm
+    of the component denominators."""
+    terms = [(A, B, part, v) for (A, B), c in op.terms.items() for part, v in op._parts(c)]
+    den = lcm(*(v.denominator for *_, v in terms))
+    return den, [(A, B, part, v.numerator * (den // v.denominator)) for A, B, part, v in terms]
+
+
+def _from_parts(cls, dim: int, den: int, entries) -> TermDict:
+    """The inverse of ``_integer_terms``: the canonical cls operator of
+    (A, B, part, n) entries, each (A, B, part) once, n an integer
+    numerator over den; each nonzero component is divided once and each
+    scalar rebuilt once, through ``cls._whole``."""
+    terms: dict = {}
+    for A, B, part, n in entries:
+        if n:
+            terms.setdefault((A, B), {})[part] = Fraction(n, den)
+    return cls(dim, {key: cls._whole(ps) for key, ps in terms.items()})
 
 
 def _products(*pairs: tuple) -> WeylOp:
@@ -277,12 +290,13 @@ def _products(*pairs: tuple) -> WeylOp:
     compose and of both brackets, and of any exact residual built from
     such products, which it sums in one accumulator.
 
-    A term pair (A, B), (C, D) gives s^(A+C-j) D^(B+D-j) in both orders,
-    so its Leibniz terms D^B s^C and sign * D^D s^A merge by j, and its
-    scalar product is formed once.  Products accumulate as integers over
-    one common denominator, the lcm of dl * dr * den(c) over the pairs
-    (dl, dr the common denominators of the operands); pairs with c = 0
-    are skipped, and each output scalar is divided once, as a Fraction."""
+    A term pair of the operands' integer views (``_integer_terms``),
+    u h^i s^A D^B and v h^k s^C D^D, gives s^(A+C-j) D^(B+D-j) h^(i+k+e)
+    in both orders, so its Leibniz terms D^B s^C and sign * D^D s^A merge
+    by j.  One flat integer accumulator, keyed (s exponents, D exponents,
+    h power), sums them over the lcm of dl * dr * den(c) over the pairs
+    (dl, dr the operands' denominators), skipping pairs with c = 0; the
+    scalars are rebuilt once (``_from_parts``)."""
     first = pairs[0][0]
     factors = []
     for lhs, rhs, sign, *ce in pairs:
@@ -295,29 +309,23 @@ def _products(*pairs: tuple) -> WeylOp:
         dr, right = _integer_terms(rhs)
         factors.append((dl * dr * c.denominator, c.numerator, e, left, right, sign))
     den = lcm(*(d for d, *_ in factors))
-    acc: dict[tuple[Mono, Mono], dict[int, int]] = {}
-    for d, n, e, left, right, sign in factors:
-        f = den // d * n
-        for A, B, ca in left:
-            if f != 1 or e:
-                ca = [(i + e, u * f) for i, u in ca]
-            for C, D, cb in right:
+    acc: dict[tuple[Mono, Mono, int], int] = {}
+    for d, f, e, left, right, sign in factors:
+        f *= den // d
+        for A, B, i, u in left:
+            u *= f
+            i += e
+            for C, D, k, v in right:
                 shifts = _leibniz_both(B, C, D, A, sign) if sign else _leibniz(B, C)
                 if not shifts:
                     continue
-                base = [(i + j, u * v) for i, u in ca for j, v in cb]
                 AC = tuple(map(add, A, C))
                 BD = tuple(map(add, B, D))
+                power, uv = i + k, u * v
                 for jvec, cf in shifts:
-                    hp = acc.setdefault((tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec))), {})
-                    for k, n in base:
-                        hp[k] = hp.get(k, 0) + cf * n
-    out = {}
-    for key, hp in acc.items():
-        hp = {k: Fraction(n, den) for k, n in hp.items() if n}
-        if hp:
-            out[key] = hp
-    return WeylOp(first.dim, out)
+                    key = (tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec)), power)
+                    acc[key] = acc.get(key, 0) + cf * uv
+    return _from_parts(WeylOp, first.dim, den, ((*key, n) for key, n in acc.items()))
 
 
 def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:
@@ -383,15 +391,8 @@ def apply_op(op: WeylOp, f: LaurentPoly, hbar=None) -> LaurentPoly:
         if not scal:
             continue
         for K, c in f.items():
-            cf = scal * c
-            ok = True
-            for ax in range(d):
-                fall = _falling(K[ax], B[ax])
-                if not fall:
-                    ok = False
-                    break
-                cf *= fall
-            if not ok:
+            cf = scal * c * prod(_falling(k, b) for k, b in zip(K, B))
+            if not cf:
                 continue
             mono = tuple(K[i] - B[i] + A[i] for i in range(d))
             w = out.get(mono, _ZERO) + cf
@@ -426,27 +427,21 @@ def _rewrite_steps(head: Mono, diag: Mono) -> tuple[tuple[Mono, int], ...]:
 
 def _reduced_numerators(op: TermDict, metric: Metric, shift: int = 0):
     """(den, levels) of the normal form modulo the quadric of
-    s_d^shift · op: levels[e] maps each (B, part) to {A without its s_d
-    exponent e: integer numerator over den}, e < 2 throughout, zero
-    numerators possible; ``part`` indexes a scalar's rational components
-    (``TermDict._parts``).
+    s_d^shift · op, read from ``_integer_terms(op)``: levels[e] maps each
+    (B, part) to {A without its s_d exponent e: integer numerator over
+    den}, e < 2 throughout, zero numerators possible.
 
     Level by level in e, from the top: s_d^2 is replaced once
     (``_rewrite_steps``), whose coefficients are +-1, so each image is an
-    integer add into level e - 2 and work is linear in e.  den is the lcm
-    of op's denominators; the shift is applied to the exponents as they
-    are read."""
-    d = op.dim
-    if metric.dim != d:
-        raise DimensionMismatch(f"metric dim {metric.dim} != {d}")
-    last = d - 1
-    parts = op._parts
-    den = lcm(*(v.denominator for c in op.terms.values() for _, v in parts(c)))
+    integer add into level e - 2 and work is linear in e.  The shift is
+    applied to the exponents as they are read."""
+    if metric.dim != op.dim:
+        raise DimensionMismatch(f"metric dim {metric.dim} != {op.dim}")
+    last = op.dim - 1
+    den, terms = _integer_terms(op)
     levels: dict[int, dict] = {}
-    for (A, B), c in op.terms.items():
-        level = levels.setdefault(A[last] + shift, {})
-        for part, v in parts(c):
-            level.setdefault((B, part), {})[A[:last]] = v.numerator * (den // v.denominator)
+    for A, B, part, n in terms:
+        levels.setdefault(A[last] + shift, {}).setdefault((B, part), {})[A[:last]] = n
     diag = metric.diag
     for e in range(max(levels, default=0), 1, -1):
         src = levels.pop(e, None)
@@ -463,16 +458,10 @@ def _reduced_numerators(op: TermDict, metric: Metric, shift: int = 0):
 
 
 def _from_numerators(cls, dim: int, den: int, levels: dict) -> TermDict:
-    """The canonical cls operator of ``_reduced_numerators``' output:
-    each nonzero scalar component divided once."""
-    terms: dict = {}
-    for e, level in levels.items():
-        for (B, part), row in level.items():
-            for head, n in row.items():
-                if n:
-                    terms.setdefault((head + (e,), B), {})[part] = Fraction(n, den)
-    whole = cls._whole
-    return cls(dim, {key: whole(ps) for key, ps in terms.items()})
+    """The canonical cls operator of ``_reduced_numerators``' output."""
+    return _from_parts(cls, dim, den, ((head + (e,), B, part, n) for e, level in levels.items()
+                                       for (B, part), row in level.items()
+                                       for head, n in row.items()))
 
 
 def _pivot_shift(ops: list) -> int:

@@ -68,6 +68,18 @@ INVALID_MANIFESTS = [
     (dict(DEFAULT_MANIFEST, params=[{"b": ["1", "2", "3"]}]),
      "params entry {'b': ['1', '2', '3']} has neither 'a' nor 'l'"),
     (dict(DEFAULT_MANIFEST, dim="3"), "dim must be an integer, got '3'"),
+    ([], "the manifest must be a JSON object, got []"),
+    (dict(DEFAULT_MANIFEST, params={"a": ["1", "2", "3"]}),
+     "params must be a list of objects, got {'a': ['1', '2', '3']}"),
+    (dict(DEFAULT_MANIFEST, params=[{"a": "123"}]),
+     "params entry a must be a list of rationals, got '123'"),
+    (dict(DEFAULT_MANIFEST, params=[{"a": ["1", "1/0", "3"]}]),
+     "params entry a must be a list of rationals, got ['1', '1/0', '3']"),
+    (dict(DEFAULT_MANIFEST, signatures=[[1, 1, -1], 5]), "a signature must be a list, got 5"),
+    (dict(DEFAULT_MANIFEST, signatures="+,+,-"), "signatures must be \"all\" or a list, got '+,+,-'"),
+    (dict(DEFAULT_MANIFEST, params=[{"l": ["1/2", [1], "3"]}]),
+     "params entry l must be a list of rationals, got ['1/2', [1], '3']"),
+    (dict(DEFAULT_MANIFEST, relations=5), "relations must be a list of family names, got 5"),
 ]
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudosphere.weylops import Metric
+from pseudosphere.weylops import Metric, WeylOp, commutator, compose, divide_by_hbar
 from pseudosphere.model import ModelParams, RELATION_FAMILIES, default_indices
-from pseudosphere import phase
+from pseudosphere import model, phase
 from pseudosphere.phase import (
     PhasePoly,
     poisson_bracket,
@@ -382,3 +382,60 @@ class TestCorrespondence:
         p = ModelParams.from_a((F(1, 3), F(2, 5), F(3, 7)))
         res = classical_relation_residual("qc_adjacent", (0, 1, 2), m, p)
         assert res.is_zero() or vanishes_mod_constraint_cl(res, m)
+
+
+@st.composite
+def rees_ops(draw, dim):
+    """Rees elements: every term c h^e s^A D^B has e >= |B| (e = |B|,
+    |B| + 1 or |B| + 2, one or two h powers per key), denominators 1..6."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        A = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+        B = tuple(draw(st.integers(0, 2)) for _ in range(dim))
+        terms[(A, B)] = {sum(B) + k: F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 6)))
+                         for k in draw(st.sets(st.integers(0, 2), min_size=1, max_size=2))}
+    return WeylOp(dim, terms)
+
+
+# sigma(R / h) = EPSILON[family] * R_cl for the quantum residual R and the
+# classical residual R_cl of a family at d = arity; cc_disjoint has no RHS
+# term and both residuals are zero there, so its epsilon is not measured
+EPSILON = {"symmetry": -1, "qq_c": -1, "qc_adjacent": 1, "qc_disjoint": 1,
+           "cc_share2": -1, "cc_share1": -1, "cc_disjoint": None}
+
+
+class TestLeadingOrder:
+    """The Weyl kernel and the classical kernel, which stay two loops,
+    agree at leading order in h under sigma = principal_symbol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_bracket_and_product_of_rees_elements(self, data, dim):
+        X, Y = data.draw(rees_ops(dim)), data.draw(rees_ops(dim))
+        sX, sY = principal_symbol(X), principal_symbol(Y)
+        assert principal_symbol(divide_by_hbar(commutator(X, Y))) == \
+            poisson_bracket(sX, sY).scale(-1)
+        assert principal_symbol(compose(X, Y)) == sX * sY
+
+    @pytest.mark.parametrize("family", RELATION_FAMILIES)
+    def test_residual_symbol_is_classical_residual(self, family, monkeypatch):
+        # the table's residuals, and those of each +1 bump of an RHS term
+        # at h^0 (nonzero on both sides), on two signatures: one sign
+        # epsilon per family, key for key
+        arity, lhs, rhs = model.RELATIONS[family]
+        idx = tuple(range(arity))
+        p = ModelParams.from_a(tuple(F(k + 2, 2 * k + 3) for k in range(arity)))
+        tables = [rhs] + [rhs[:i] + ((c + 1, *t),) + rhs[i + 1:]
+                          for i, (c, *t) in enumerate(rhs) if t[1] == 0]
+        signs = set()
+        for diag in ((1,) * (arity - 1) + (-1,), (-1,) + (1,) * (arity - 1)):
+            m = Metric(diag)
+            for table in tables:
+                monkeypatch.setitem(model.RELATIONS, family, (arity, lhs, table))
+                R = principal_symbol(divide_by_hbar(model._relation_residual(family, idx, m, p)))
+                R_cl = classical_relation_residual(family, idx, m, p)
+                eps = [e for e in (1, -1) if R.terms == R_cl.scale(e).terms]
+                assert eps, (diag, table)
+                if not R_cl.is_zero():
+                    signs.update(eps)
+        assert signs == ({EPSILON[family]} if EPSILON[family] else set())

@@ -519,8 +519,9 @@ class TestCasimirNormalForm:
         expand = racah3._casimir_expansion
         for extra, want_B in ((lambda r: r.B.scale(F(1, 3)), True),
                               (lambda r: WeylOp.coord(3, 0, 2), False)):
+            # the fake passes verify_casimir's K(H) pairs through
             monkeypatch.setattr(racah3, "_casimir_expansion",
-                                lambda r, k: expand(r, k) + extra(r))
+                                lambda r, k, *pairs: expand(r, k, *pairs) + extra(r))
             got = verify_casimir(m, p)
             assert verdicts(got) == reference_verify_casimir(m, p, casimir_operator(m, p))
             assert (got["equals_realized"], got["central_A"], got["central_B"],
@@ -554,6 +555,40 @@ class TestCasimirNormalForm:
             m = Metric(diag)
             r = abc_realization(m, ModelParams.from_a(a))
             assert all(racah3._tangent(Y, m) for Y in (r.H, r.A, r.B)), diag
+
+    @pytest.mark.parametrize("diag", [(1, 1, -1), (-1, 1, -1)])
+    def test_normal_form_only_on_the_bracket_route(self, diag, monkeypatch):
+        # K - K(H) is summed in the expansion's accumulator and decided by
+        # membership alone: the derived route never reduces an operator
+        # and expands K once; a bumped K(H) coefficient takes the bracket
+        # route, which expands K once more and reduces it once, to Kn
+        from dataclasses import replace
+        from pseudosphere import weylops
+        reduced, expanded = [], []
+        reduce, expand, realized = (racah3.reduce_mod_constraint,
+                                    racah3._casimir_expansion, racah3.casimir)
+
+        def spy_reduce(op, metric):
+            reduced.append(len(op.terms))
+            return reduce(op, metric)
+
+        def spy_expand(r, k, *pairs):
+            expanded.append(len(pairs))
+            return expand(r, k, *pairs)
+
+        monkeypatch.setattr(racah3, "reduce_mod_constraint", spy_reduce)
+        monkeypatch.setattr(weylops, "reduce_mod_constraint", spy_reduce)
+        monkeypatch.setattr(racah3, "_casimir_expansion", spy_expand)
+        m, p = Metric(diag), ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
+        got = verify_casimir(m, p)
+        assert (got["passed"], got["centrality_route"]) == (True, "derived")
+        assert (reduced, expanded) == ([], [3])
+        monkeypatch.setattr(racah3, "casimir", lambda params: replace(
+            realized(params), realized_form={n: c + (n == 0) for n, c in
+                                             realized(params).realized_form.items()}))
+        got = verify_casimir(m, p)
+        assert (got["equals_realized"], got["centrality_route"]) == (False, "bracket")
+        assert len(reduced) == 1 and expanded == [3, 3, 0]
 
     @pytest.mark.parametrize("diag", ALL_DIAGS)
     def test_derived_route_equals_bracket_route(self, diag):
@@ -622,13 +657,15 @@ def patched_certificate(monkeypatch, m, **ops):
     ops and with K = K(H) exactly, so that equals_realized holds; and the
     bracket route's (central_A, central_B) on the same operators."""
     from dataclasses import replace
-    from pseudosphere.weylops import WeylOp, compose, reduce_mod_constraint
+    from pseudosphere.weylops import WeylOp, _products, compose, reduce_mod_constraint
     p = ModelParams.from_a((F(2, 7), F(-1, 9), F(5, 3)))
     r = replace(abc_realization(m, p), **ops)
     k = casimir(p).realized_form
     K = compose(r.H, r.H).scale(k[2]) + r.H.scale(k[1]) + WeylOp.const(3, k[0])
     monkeypatch.setattr(racah3, "abc_realization", lambda *args: r)
-    monkeypatch.setattr(racah3, "_casimir_expansion", lambda *args: K)
+    # K plus any K(H) pairs verify_casimir passes, in one accumulator
+    monkeypatch.setattr(racah3, "_casimir_expansion",
+                        lambda r, k, *pairs: _products((K, WeylOp.const(3, 1), 0), *pairs))
     Kn = reduce_mod_constraint(K, m)
     return verify_casimir(m, p), tuple(racah3._central_mod_constraint(Kn, Y, m)
                                        for Y in (r.A, r.B))

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,9 @@ from pseudosphere.weylops import (
     reduce_mod_constraint,
     vanishes_mod_constraint,
     _falling,
+    _from_parts,
     _hp_add,
+    _integer_terms,
     _hp_scale,
     _normal_forms,
     _pivot_shift,
@@ -371,6 +373,29 @@ class TestComposeOracle:
         for Y in (WeylOp.zero(3), zero_scalar):
             assert compose(X, Y).terms == {} == compose(Y, X).terms
             assert reference_compose(X, Y).terms == {}
+
+
+class TestIntegerView:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 5))
+    def test_rebuilds_the_operator_on_both_rings(self, data, dim):
+        # WeylOp scalars with several h powers, and the PhasePoly of each
+        # key's lowest-power coefficient: one entry per scalar component,
+        # integer numerators over the least common denominator, and
+        # _from_parts rebuilds the operator exactly
+        from pseudosphere.phase import PhasePoly
+        X = data.draw(dense_ops(dim))
+        f = PhasePoly(dim, {key: hp[min(hp)] for key, hp in X.terms.items()})
+        for op, components in (
+                (X, {(A, B, k): c for (A, B), hp in X.terms.items() for k, c in hp.items()}),
+                (f, {(A, B, 0): c for (A, B), c in f.terms.items()})):
+            den, terms = _integer_terms(op)
+            assert den == lcm(*(c.denominator for c in components.values()))
+            assert all(type(n) is int for *_, n in terms)
+            assert len(terms) == len(components)
+            assert {(A, B, part): F(n, den) for A, B, part, n in terms} == components
+            rebuilt = _from_parts(type(op), dim, den, terms)
+            assert type(rebuilt) is type(op) and rebuilt.terms == op.terms
 
 
 def reference_commutator(lhs, rhs):
