@@ -61,9 +61,11 @@ DEFAULT_MANIFEST = {
 }
 
 
-def _shape(value, kind, what):
-    """value if it is a kind (list or dict), else ValueError: what, got value."""
-    if not isinstance(value, kind):
+def _shape(value, kind, what, entries=()):
+    """value if it is a kind (list or dict) whose items, when entries is
+    given, are all of a type in it exactly (no bool passes as int), else
+    ValueError: what, got value."""
+    if not isinstance(value, kind) or entries and any(type(x) not in entries for x in value):
         raise ValueError(f"{what}, got {value!r}")
     return value
 
@@ -86,7 +88,7 @@ def _manifest_params(manifest):
             raise ValueError(f"params entry {entry} has neither 'a' nor 'l'")
         what = f"params entry {key} must be a list of rationals"
         try:
-            vec = tuple(Fraction(x) for x in _shape(entry[key], list, what))
+            vec = tuple(Fraction(x) for x in _shape(entry[key], list, what, (int, str)))
         except (TypeError, ZeroDivisionError):
             raise ValueError(f"{what}, got {entry[key]!r}") from None
         out.append(ModelParams.from_l(vec) if key == "l" else ModelParams.from_a(vec))
@@ -100,7 +102,7 @@ def _relation_jobs(manifest, job):
     one that admits no relation job."""
     _shape(manifest, dict, "the manifest must be a JSON object")
     dim = manifest.get("dim", 3)
-    if not isinstance(dim, int):
+    if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
     metrics = _manifest_metrics(manifest)
     params = _manifest_params(manifest)

@@ -79,8 +79,8 @@ class Metric:
     diag: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.diag or any(e not in (1, -1) for e in self.diag):
-            raise ValueError("metric entries must be +1 or -1")
+        if not self.diag or any(type(e) is not int or e not in (1, -1) for e in self.diag):
+            raise ValueError(f"metric entries must be the integers +1 and -1, got {self.diag!r}")
 
     @property
     def dim(self) -> int:

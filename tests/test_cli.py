@@ -80,6 +80,16 @@ INVALID_MANIFESTS = [
     (dict(DEFAULT_MANIFEST, params=[{"l": ["1/2", [1], "3"]}]),
      "params entry l must be a list of rationals, got ['1/2', [1], '3']"),
     (dict(DEFAULT_MANIFEST, relations=5), "relations must be a list of family names, got 5"),
+    # JSON floats and booleans are not exact rationals or signs
+    (dict(DEFAULT_MANIFEST, params=[{"a": [0.1, "2", 3]}]),
+     "params entry a must be a list of rationals, got [0.1, '2', 3]"),
+    (dict(DEFAULT_MANIFEST, params=[{"a": [True, "2", 3]}]),
+     "params entry a must be a list of rationals, got [True, '2', 3]"),
+    (dict(DEFAULT_MANIFEST, signatures=[[1.0, -1, 1]]),
+     "metric entries must be the integers +1 and -1, got (1.0, -1, 1)"),
+    (dict(DEFAULT_MANIFEST, signatures=[[True, -1, 1]]),
+     "metric entries must be the integers +1 and -1, got (True, -1, 1)"),
+    (dict(DEFAULT_MANIFEST, dim=True), "dim must be an integer, got True"),
 ]
 
 

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pseudosphere.weylops import Metric, WeylOp, commutator, compose, divide_by_hbar
+from pseudosphere.weylops import (Metric, NotDivisible, WeylOp, commutator, compose,
+                                  divide_by_hbar)
 from pseudosphere.model import ModelParams, RELATION_FAMILIES, default_indices
 from pseudosphere import model, phase
 from pseudosphere.phase import (
@@ -382,6 +383,113 @@ class TestCorrespondence:
         p = ModelParams.from_a((F(1, 3), F(2, 5), F(3, 7)))
         res = classical_relation_residual("qc_adjacent", (0, 1, 2), m, p)
         assert res.is_zero() or vanishes_mod_constraint_cl(res, m)
+
+
+def reference_correspondence(metric, params, pairs=None):
+    """The quantum-bracket oracle: for every pair, sigma((1/h)[X, Y]) of
+    the quantum builds against +-{sigma X, sigma Y}.  It reads no
+    classical build, and it raises NotDivisible where [X, Y] is not
+    divisible by h."""
+    if pairs is None:
+        pairs = [pair for i, j, k in itertools.combinations(range(metric.dim), 3)
+                 for pair in ((("Q", i, j), ("Q", i, k)), (("Q", j, k), ("C", i, j, k)))]
+    q_op = model._generators(model.QUANTUM, metric, params)
+    records = []
+    signs = set()
+    for (x, y) in pairs:
+        Xq, Yq = q_op(*x), q_op(*y)
+        lhs = principal_symbol(model.QUANTUM.bracket(Xq, Yq))
+        rhs = poisson_bracket(principal_symbol(Xq), principal_symbol(Yq))
+        if lhs.is_zero() and rhs.is_zero():
+            sign = 0
+        elif lhs == rhs:
+            sign = 1
+        elif lhs == rhs.scale(-1):
+            sign = -1
+        else:
+            sign = None
+        records.append({"pair": (x, y), "sign": sign})
+        if sign:
+            signs.add(sign)
+    return {
+        "passed": bool(records) and None not in {r["sign"] for r in records}
+        and len(signs) <= 1,
+        "global_sign": signs.pop() if len(signs) == 1 else None,
+        "vacuous": not records,
+        "records": records,
+    }
+
+
+def mutate_quantum(monkeypatch, tag, change):
+    """Make model._build return change(op) for the quantum generator tag."""
+    build = model._build
+
+    def mutated(ring, metric, params, gen, *t):
+        op = build(ring, metric, params, gen, *t)
+        return change(op) if ring is model.QUANTUM and t == tag else op
+
+    monkeypatch.setattr(model, "_build", mutated)
+
+
+class TestCorrespondenceOracle:
+    """correspondence_check (Rees membership and sigma(gen) = +-gen_cl per
+    tag, one classical bracket per pair) against the quantum-bracket
+    oracle, record for record."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_every_signature(self, d):
+        rng = random.Random(250 + d)
+        for diag in itertools.product((1, -1), repeat=d):
+            p = ModelParams.from_a(tuple(F(rng.randint(-6, 6), rng.randint(1, 5))
+                                         for _ in range(d)))
+            m = Metric(diag)
+            rep = correspondence_check(m, p)
+            assert rep == reference_correspondence(m, p), (diag, p.a)
+            assert rep["passed"] and rep["global_sign"] == -1
+
+    def test_custom_pairs(self):
+        pairs = [(("Q", 0, 1), ("Q", 0, 1)), (("H",), ("Q", 1, 0)), (("H",), ("H",)),
+                 (("Q", 1, 0), ("Q", 1, 2)), (("Q", 2, 3), ("Q", 0, 1)),
+                 (("Q", 1, 2), ("Q", 0, 2)), (("C", 0, 1, 2), ("H",)),
+                 (("C", 0, 1, 2), ("C", 2, 1, 0)), (("C", 1, 3, 0), ("Q", 0, 3))]
+        p = ModelParams.from_a((F(-1, 2), 3, F(2, 7), -1))
+        for diag in ((1, -1, 1, -1), (-1, -1, -1, 1)):
+            m = Metric(diag)
+            rep = correspondence_check(m, p, pairs)
+            assert rep == reference_correspondence(m, p, pairs), diag
+            assert rep["records"][0]["sign"] == 0 and rep["records"][2]["sign"] == 0
+            assert rep["records"][1]["sign"] == -1 and rep["passed"]
+
+    def test_bumped_symbol_fails(self, monkeypatch):
+        # +1 on the h^2 coefficient of a second-order term of the quantum
+        # Q_01: still a Rees element, but sigma(Q_01) != Q_01_cl, and each
+        # C_01k built from it fails too; the oracle compares the quantum
+        # builds only with each other, so it cannot see this
+        def bump(op):
+            key = min(k for k in op.terms if sum(k[1]) == 2)
+            return WeylOp(op.dim, {**op.terms, key: {**op.terms[key], 2: op.terms[key][2] + 1}})
+
+        m, p = Metric((1, 1, -1, 1)), ModelParams.from_a((1, F(-2, 3), 3, F(1, 5)))
+        mutate_quantum(monkeypatch, ("Q", 0, 1), bump)
+        rep = correspondence_check(m, p)
+        assert not rep["passed"] and rep["global_sign"] == -1
+        for r in rep["records"]:
+            x, y = r["pair"]
+            assert (r["sign"] is None) == (("Q", 0, 1) in (x, y) or y[:3] == ("C", 0, 1)), r
+        assert reference_correspondence(m, p)["passed"]
+
+    def test_non_rees_generator_fails(self, monkeypatch):
+        # an h^0 D_1 term on the quantum C_012 leaves its principal symbol
+        # as it was; only Rees membership catches it
+        m, p = Metric((1, -1, -1)), ModelParams.from_a((F(1, 4), 2, F(-3, 2)))
+        clean = model.build_C(m, p, 0, 1, 2)
+        mutate_quantum(monkeypatch, ("C", 0, 1, 2), lambda op: op + WeylOp.deriv(op.dim, 1))
+        assert principal_symbol(model.build_C(m, p, 0, 1, 2)) == principal_symbol(clean)
+        rep = correspondence_check(m, p)
+        assert [r["sign"] for r in rep["records"]] == [-1, None]
+        assert not rep["passed"]
+        with pytest.raises(NotDivisible):
+            reference_correspondence(m, p)
 
 
 @st.composite

@@ -639,16 +639,17 @@ def test_vanishes_on_phase_polys_matches_product_shift(metric, data):
 
 
 def test_correspondence_builds_each_generator_once(monkeypatch):
-    # one lookup per correspondence_check: each distinct Q_ij and C_ijk of
-    # the pair list is built exactly once over the quantum ring, and C_ijk
-    # reads the lookup's own Q_ij and Q_ik (at d = 4 all in the pair list)
-    from pseudosphere import model
+    # one lookup per ring per correspondence_check: each distinct Q_ij and
+    # C_ijk of the pair list is built exactly once over the quantum ring and
+    # once over the classical ring, and C_ijk reads its lookup's own Q_ij
+    # and Q_ik (at d = 4 all in the pair list)
+    from pseudosphere import model, phase
     from pseudosphere.phase import correspondence_check
     built = []
     build = model._build
 
     def record(ring, metric, params, gen, *tag):
-        built.append((ring, tag))
+        built.append((ring, gen, tag))
         return build(ring, metric, params, gen, *tag)
 
     monkeypatch.setattr(model, "_build", record)
@@ -657,7 +658,9 @@ def test_correspondence_builds_each_generator_once(monkeypatch):
     assert rep["passed"]
     tags = {tag for r in rep["records"] for tag in r["pair"]}
     reads = {("Q", t[1], u) for t in tags if t[0] == "C" for u in t[2:]}
-    assert {ring for ring, _ in built} == {model.QUANTUM}
-    assert sorted(tag for _, tag in built) == sorted(tags)
+    for ring in (model.QUANTUM, phase.CLASSICAL):
+        assert len({gen for r, gen, _ in built if r is ring}) == 1
+        assert sorted(tag for r, _, tag in built if r is ring) == sorted(tags)
+    assert len(built) == 2 * len(tags)
     assert reads <= tags
     assert sum(tag[0] == "C" for tag in tags) == 4 and len(tags) == 10
