@@ -8,6 +8,7 @@ Rationals are serialized exactly as "num/den" strings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -70,49 +71,56 @@ def _shape(value, kind, what, entries=()):
     return value
 
 
-def _manifest_metrics(manifest):
-    dim = manifest.get("dim", 3)
+def _of_dim(kind, vec, dim):
+    """vec if it has dim entries, else ValueError naming it kind."""
+    if len(vec) != dim:
+        raise ValueError(f"{kind} ({', '.join(map(str, vec))}) has {len(vec)} "
+                         f"entries, the manifest's dim is {dim}")
+    return vec
+
+
+def _manifest_metrics(manifest, dim):
     sigs = manifest.get("signatures", "all")
     if sigs == "all":
         return [Metric(d) for d in itertools.product((1, -1), repeat=dim)]
-    return [Metric(tuple(_shape(s, list, "a signature must be a list")))
+    return [Metric(_of_dim("signature", tuple(_shape(s, list, "a signature must be a list")), dim))
             for s in _shape(sigs, list, 'signatures must be "all" or a list')]
 
 
-def _manifest_params(manifest):
+def _manifest_params(manifest, dim):
     out = []
     for entry in _shape(manifest.get("params", []), list, "params must be a list of objects"):
-        key = next((k for k in ("l", "a") if k in entry), None) \
-            if isinstance(entry, dict) else None
-        if key is None:
-            raise ValueError(f"params entry {entry} has neither 'a' nor 'l'")
+        keys = [k for k in ("l", "a") if k in entry] if isinstance(entry, dict) else []
+        if len(keys) != 1:
+            raise ValueError(f"params entry {entry} has " + ("both 'a' and 'l'" if keys
+                                                             else "neither 'a' nor 'l'"))
+        key, = keys
         what = f"params entry {key} must be a list of rationals"
         try:
             vec = tuple(Fraction(x) for x in _shape(entry[key], list, what, (int, str)))
         except (TypeError, ZeroDivisionError):
             raise ValueError(f"{what}, got {entry[key]!r}") from None
         out.append(ModelParams.from_l(vec) if key == "l" else ModelParams.from_a(vec))
+        _of_dim("params a =", out[-1].a, dim)
     return out
 
 
 def _relation_jobs(manifest, job):
     """(dim, metrics, params, jobs) of a manifest: one (job, family,
     indices, signature, a) task per family the dimension admits, signature
-    and params vector.  Raises ValueError on an invalid manifest, and on
-    one that admits no relation job."""
+    and params vector.  Raises ValueError on an invalid manifest (checking
+    each vector's length before "all" signatures expand), and on one that
+    admits no relation job."""
     _shape(manifest, dict, "the manifest must be a JSON object")
+    if unknown := sorted(set(manifest) - set(DEFAULT_MANIFEST)):
+        raise ValueError(f"unknown manifest key {unknown[0]!r}")
     dim = manifest.get("dim", 3)
     if type(dim) is not int:
         raise ValueError(f"dim must be an integer, got {dim!r}")
-    metrics = _manifest_metrics(manifest)
-    params = _manifest_params(manifest)
-    if not metrics or not params:
+    params = _manifest_params(manifest, dim)
+    metrics = params and _manifest_metrics(manifest, dim)
+    if not metrics:
         raise ValueError("the manifest lists no signature or no params vector")
-    for kind, vec in ([("signature", m.diag) for m in metrics]
-                      + [("params a =", p.a) for p in params]):
-        if len(vec) != dim:
-            raise ValueError(f"{kind} ({', '.join(map(str, vec))}) has {len(vec)} "
-                             f"entries, the manifest's dim is {dim}")
     families = _shape(manifest.get("relations", list(RELATION_FAMILIES)), list,
                       "relations must be a list of family names")
     for fam in families:
@@ -133,13 +141,14 @@ def _load_manifest(path):
         return json.load(fh)
 
 
-def _write_report(path, report):
-    text = json.dumps(report, indent=2, default=str)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _write_report(args, fields, ok):
+    """Write {tool, version, command, **fields} as JSON to --out, else to
+    stdout; the exit code, 0 when ok, else 1."""
+    report = {"tool": "pseudosphere", "version": __version__,
+              "command": args.command, **fields}
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(json.dumps(report, indent=2, default=str) + "\n")
+    return 0 if ok else 1
 
 
 def _summarize(records):
@@ -157,6 +166,14 @@ def _map_jobs(tasks, workers):
         return [f.result() for f in [pool.submit(fn, *args) for fn, *args in tasks]]
 
 
+def _write_records(args, tasks):
+    """The report of the tasks' records, in task order, and their summary."""
+    records = _map_jobs(tasks, args.jobs)
+    summary = _summarize(records)
+    return _write_report(args, {"records": records, "summary": summary},
+                         summary["failed"] == 0)
+
+
 def _quantum_job(family, idx, diag, a):
     rep = verify_relation(family, idx, Metric(diag), ModelParams.from_a(a))
     return {"kind": "quantum", "family": family, "indices": list(idx),
@@ -165,26 +182,25 @@ def _quantum_job(family, idx, diag, a):
             "elapsed_ms": rep.elapsed_ms}
 
 
+def _linear_relation_job(dim, params, metrics):
+    """The discovered linear relation, per signature, on one params vector."""
+    mi = verify_metric_independence(dim, params, metrics, families=())
+    rels = []
+    for entry in mi["per_signature"]:
+        alpha, alpha_0, alpha_00 = entry["coefficients"]
+        rels.append({"signature": list(entry["metric"].diag),
+                     "alpha": {f"{i}{j}": _rat(c) for (i, j), c in alpha},
+                     "alpha_0": _rat(alpha_0), "alpha_00": _rat(alpha_00)})
+    return {"kind": "linear_relation_metric_independence",
+            "passed": mi["passed"], "relations": rels}
+
+
 def cmd_verify_algebra(args):
     dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
                                                 _quantum_job)
-    records = _map_jobs(jobs, args.jobs)
-    # the discovered linear relation, per signature, on the first params
     if dim >= 3:  # the linear relation needs three coordinates
-        mi = verify_metric_independence(dim, params[0], metrics, families=())
-        rels = []
-        for entry in mi["per_signature"]:
-            alpha, alpha_0, alpha_00 = entry["coefficients"]
-            rels.append({"signature": list(entry["metric"].diag),
-                         "alpha": {f"{i}{j}": _rat(c) for (i, j), c in alpha},
-                         "alpha_0": _rat(alpha_0), "alpha_00": _rat(alpha_00)})
-        records.append({"kind": "linear_relation_metric_independence",
-                        "passed": mi["passed"], "relations": rels})
-    report = {"tool": "pseudosphere", "version": __version__,
-              "command": "verify-algebra", "records": records,
-              "summary": _summarize(records)}
-    _write_report(args.out, report)
-    return 0 if report["summary"]["failed"] == 0 else 1
+        jobs.append((_linear_relation_job, dim, params[0], metrics))
+    return _write_records(args, jobs)
 
 
 def _classical_job(family, idx, diag, a):
@@ -206,44 +222,24 @@ def cmd_classical_check(args):
                                                 _classical_job)
     if dim >= 3:  # below three coordinates there is no generator pair to check
         jobs += [(_correspondence_job, m.diag, p.a) for m in metrics for p in params]
-    records = _map_jobs(jobs, args.jobs)
-    report = {"tool": "pseudosphere", "version": __version__,
-              "command": "classical-check", "records": records,
-              "summary": _summarize(records)}
-    _write_report(args.out, report)
-    return 0 if report["summary"]["failed"] == 0 else 1
-
-
-def _spectrum_rows(sols, flip):
-    rows = []
-    for s in sols:
-        E_phys = flip * s.E
-        rows.append({"epsilon1": s.signs[0], "epsilon2": s.signs[1],
-                     "epsilon3": s.signs[2], "p": s.p,
-                     "E": _rat(E_phys), "degeneracy": s.degeneracy,
-                     "certified": s.certified})
-    return rows
+    return _write_records(args, jobs)
 
 
 def cmd_racah_spectrum(args):
-    params = ModelParams.from_l(args.l)
-    sols = find_spectrum(params, args.max_p, sign_mode=args.signs)
     flip = SURFACES[args.signs][1] if args.signs in SURFACES else 1
-    rows = _spectrum_rows(sols, flip)
+    rows = [{"epsilon1": s.signs[0], "epsilon2": s.signs[1], "epsilon3": s.signs[2],
+             "p": s.p, "E": _rat(flip * s.E), "degeneracy": s.degeneracy,
+             "certified": s.certified}
+            for s in find_spectrum(ModelParams.from_l(args.l), args.max_p,
+                                   sign_mode=args.signs)]
     if args.out and args.out.endswith(".json"):
-        _write_report(args.out, {"tool": "pseudosphere", "version": __version__,
-                                 "command": "racah-spectrum", "rows": rows})
-    else:
-        fh = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            w = csv.DictWriter(fh, fieldnames=["epsilon1", "epsilon2",
-                                               "epsilon3", "p", "E",
-                                               "degeneracy", "certified"])
-            w.writeheader()
-            w.writerows(rows)
-        finally:
-            if args.out:
-                fh.close()
+        return _write_report(args, {"rows": rows}, True)
+    with open(args.out, "w", newline="") if args.out \
+            else contextlib.nullcontext(sys.stdout) as fh:
+        w = csv.DictWriter(fh, fieldnames=["epsilon1", "epsilon2", "epsilon3",
+                                           "p", "E", "degeneracy", "certified"])
+        w.writeheader()
+        w.writerows(rows)
     return 0
 
 
@@ -278,29 +274,22 @@ def cmd_pde_check(args):
                  "multiplicity": mult, "degeneracy": None, "passed": False}
                 for i, (E, mult) in enumerate(groups) if i not in matched]
     summary = _summarize(records)
-    report = {"tool": "pseudosphere", "version": __version__,
-              "command": "pde-check", "surface": args.surface,
-              "l": [_rat(x) for x in args.l], "records": records,
-              "numeric_levels": [{"E": float(lv.E), "n": lv.n, "m": lv.m}
-                                 for lv in numeric],
-              "vacuous": not analytic, "summary": summary}
-    _write_report(args.out, report)
-    return 0 if analytic and summary["failed"] == 0 else 1
+    return _write_report(args, {
+        "surface": args.surface, "l": [_rat(x) for x in args.l], "records": records,
+        "numeric_levels": [{"E": float(lv.E), "n": lv.n, "m": lv.m} for lv in numeric],
+        "vacuous": not analytic, "summary": summary},
+        analytic and summary["failed"] == 0)
 
 
 def cmd_cross_check(args):
-    metric = Metric(args.signature)
-    params = ModelParams.from_l(args.l)
-    rep = match_spectrum_to_signature(metric, params, max_p=args.max_p)
-    report = {"tool": "pseudosphere", "version": __version__,
-              "command": "cross-check", "l": [_rat(x) for x in args.l],
-              "signature": list(args.signature),
-              "surface": rep["surface"],
-              "analytic_levels": [[_rat(E), d] for E, d in rep["analytic_levels"]],
-              "matches": rep["matches"], "vacuous": rep["vacuous"],
-              "passed": rep["passed"]}
-    _write_report(args.out, report)
-    return 0 if rep["passed"] else 1
+    rep = match_spectrum_to_signature(Metric(args.signature), ModelParams.from_l(args.l),
+                                      max_p=args.max_p)
+    return _write_report(args, {
+        "l": [_rat(x) for x in args.l], "signature": list(args.signature),
+        "surface": rep["surface"],
+        "analytic_levels": [[_rat(E), d] for E, d in rep["analytic_levels"]],
+        "matches": rep["matches"], "vacuous": rep["vacuous"],
+        "passed": rep["passed"]}, rep["passed"])
 
 
 def build_parser():
@@ -309,17 +298,14 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify-algebra", help="verify the quantum relations")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_verify_algebra)
-
-    p = sub.add_parser("classical-check", help="verify the classical algebra")
-    p.add_argument("--manifest")
-    p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_classical_check)
+    for name, func, text in (
+            ("verify-algebra", cmd_verify_algebra, "verify the quantum relations"),
+            ("classical-check", cmd_classical_check, "verify the classical algebra")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--manifest")
+        p.add_argument("--out")
+        p.add_argument("--jobs", type=int, default=1)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("racah-spectrum", help="algebraic spectrum table")
     p.add_argument("--l", type=_parse_rats, required=True)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,12 @@ INVALID_MANIFESTS = [
     (dict(DEFAULT_MANIFEST, signatures=[[True, -1, 1]]),
      "metric entries must be the integers +1 and -1, got (True, -1, 1)"),
     (dict(DEFAULT_MANIFEST, dim=True), "dim must be an integer, got True"),
+    # a params entry names exactly one of a and l
+    (dict(DEFAULT_MANIFEST, params=[{"a": ["1/4", "1/4", "1/4"], "l": ["1/2", "1/2", "13/2"]}]),
+     "params entry {'a': ['1/4', '1/4', '1/4'], 'l': ['1/2', '1/2', '13/2']} "
+     "has both 'a' and 'l'"),
+    # a misspelled key is not ignored
+    (dict(DEFAULT_MANIFEST, signature=[[1, 1, -1]]), "unknown manifest key 'signature'"),
 ]
 
 
@@ -102,6 +109,29 @@ def test_invalid_manifest_exit_2(command, manifest, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"pseudosphere: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "classical-check"])
+def test_params_length_checked_before_signatures_expand(command, tmp_path, monkeypatch,
+                                                         capsys):
+    # "all" signatures at dim 40 are 2^40 metrics: a params vector of the
+    # wrong length must exit 2 before any of them is built
+    from pseudosphere import cli
+    metric, built = cli.Metric, []
+
+    def counting_metric(diag):
+        built.append(diag)
+        assert len(built) <= 100, "the signatures expanded"
+        return metric(diag)
+
+    monkeypatch.setattr(cli, "Metric", counting_metric)
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"dim": 40, "signatures": "all",
+                                 "params": [{"a": [1, 2, 3]}]}))
+    assert run([command, "--manifest", str(mpath)]) == 2
+    assert capsys.readouterr().err == \
+        "pseudosphere: params a = (1, 2, 3) has 3 entries, the manifest's dim is 40\n"
+    assert built == []
 
 
 NOTHING_TO_CHECK = "the manifest lists no signature or no params vector"
@@ -137,18 +167,24 @@ class TestClassicalCheck:
         corr = [r for r in report["records"] if r["kind"] == "correspondence"]
         assert corr and all(r["global_sign"] == -1 for r in corr)
 
-    def test_jobs_match_serial(self, tmp_path):
+    @pytest.mark.parametrize("command", ["classical-check", "verify-algebra"])
+    def test_jobs_match_serial(self, command, tmp_path):
+        # dim 3: verify-algebra's last task is its linear-relation record
         manifest = dict(DEFAULT_MANIFEST, signatures=[[1, 1, -1], [-1, -1, -1]],
                         relations=["symmetry", "qq_c", "qc_adjacent"])
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps(manifest))
         reports = []
         for jobs in ("1", "2"):
-            out = tmp_path / f"cl{jobs}.json"
-            assert run(["classical-check", "--manifest", str(mpath),
+            out = tmp_path / f"r{jobs}.json"
+            assert run([command, "--manifest", str(mpath),
                         "--jobs", jobs, "--out", str(out)]) == 0
-            reports.append(out.read_text())
+            reports.append(re.sub(r'"elapsed_ms": [^,\n]+', '"elapsed_ms": 0',
+                                  out.read_text()))
         assert reports[0] == reports[1]
+        if command == "verify-algebra":
+            last = json.loads(reports[0])["records"][-1]
+            assert last["kind"] == "linear_relation_metric_independence"
 
     def test_dim2_manifest_has_no_correspondence_record(self, tmp_path):
         # below d = 3 there is no generator pair, so no correspondence
