@@ -95,6 +95,8 @@ def _manifest_params(manifest, dim):
             raise ValueError(f"params entry {entry} has " + ("both 'a' and 'l'" if keys
                                                              else "neither 'a' nor 'l'"))
         key, = keys
+        if unknown := sorted(set(entry) - {key}):
+            raise ValueError(f"params entry {entry} has unknown key {unknown[0]!r}")
         what = f"params entry {key} must be a list of rationals"
         try:
             vec = tuple(Fraction(x) for x in _shape(entry[key], list, what, (int, str)))
@@ -244,7 +246,8 @@ def cmd_racah_spectrum(args):
 
 
 def cmd_pde_check(args):
-    from .specsolver import GridSpec, pde_spectrum, group_numeric, ConvergenceError
+    from .specsolver import (GridSpec, MATCH_RTOL, pde_spectrum, group_numeric,
+                             ConvergenceError)
     grid = GridSpec(nodes=args.grid, levels=args.levels)
     counts = (args.counts, args.counts)
     try:
@@ -262,7 +265,7 @@ def cmd_pde_check(args):
     for lv in analytic:
         target = float(lv.E)
         i = next((i for i, g in enumerate(groups)
-                  if abs(g[0] - target) <= 1e-3 * max(1.0, abs(target))), None)
+                  if abs(g[0] - target) <= MATCH_RTOL * max(1.0, abs(target))), None)
         hit = None if i is None else groups[i]
         matched.add(i)
         ok = hit is not None and hit[1] == lv.degeneracy

@@ -1,9 +1,9 @@
 """Numeric separation-of-variables spectra for S^2 and H^2.
 
 A generic one-dimensional Sturm-Liouville finite-difference eigensolver
-(Liouville-transformed Poschl-Teller problems, Richardson extrapolation,
-endpoint-truncation extrapolation) as the physics-side numerical oracle
-for the algebraic spectrum.  The closed-form levels live in ``racah3``
+(Liouville-transformed Poschl-Teller problems, Dirichlet at both ends,
+Richardson extrapolation) as the physics-side numerical oracle for the
+algebraic spectrum.  The closed-form levels live in ``racah3``
 and are re-exported here.
 """
 
@@ -27,19 +27,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SLProblem:
-    """-v'' + q(x) v = E v on (x0, x1), Dirichlet after truncation.
+    """-v'' + q(x) v = E v on (x0, x1), v(x0) = v(x1) = 0.
 
-    The problem is assumed already in Liouville (self-adjoint) form; the
-    singular_left/right flags mark endpoints that need truncation.  The
+    The problem is assumed already in Liouville (self-adjoint) form.  The
     potential is called once per grid on the numpy array of interior nodes
     and returns an array of the same shape or a scalar (a constant
     potential); a callable that accepts only a Python float fails with a
-    TypeError."""
+    TypeError.  It may be singular at x0 and x1, where it is never called:
+    for a term (l^2 - 1/4)/x^2 with l >= 1/2 the regular solution
+    x^(1/2 + l) vanishes there, as the Dirichlet condition demands."""
     potential: object       # callable q(x) on an array of interior nodes
     x0: float
     x1: float
-    singular_left: bool = True
-    singular_right: bool = True
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,8 @@ class GridSpec:
     `nodes` is the number of intervals of the finest grid.  Refinement
     level k = 0..levels-1 has coarsest * 2^k intervals, coarsest =
     nodes // 2^(levels-1) >= 64, so the spacing halves exactly between
-    levels, as the Richardson extrapolation assumes.  `offsets` are two
-    distinct endpoint-truncation offsets, fractions of the interval length
-    in [0, 1/2), from which the levels are extrapolated to zero offset."""
+    levels, as the Richardson extrapolation assumes."""
     nodes: int = 1024
-    offsets: tuple = (1e-5, 2e-5)
     levels: int = 3                 # Richardson refinement levels
 
     def __post_init__(self):
@@ -63,10 +59,6 @@ class GridSpec:
             raise ValueError(
                 f"the coarsest grid nodes // 2^(levels-1) = {self.coarsest} "
                 "must have >= 64 intervals")
-        if (len(self.offsets) != 2 or self.offsets[0] == self.offsets[1]
-                or not all(0 <= e < 0.5 for e in self.offsets)):
-            raise ValueError(f"offsets must be two distinct values in "
-                             f"[0, 1/2), got {self.offsets!r}")
 
     @property
     def coarsest(self) -> int:
@@ -74,9 +66,9 @@ class GridSpec:
         return self.nodes // 2**(self.levels - 1)
 
 
-def _eigs_on_grid(prob: SLProblem, a, b, n, count):
-    h = (b - a) / (n + 1)
-    x = a + h * np.arange(1, n + 1)
+def _eigs_on_grid(prob: SLProblem, n, count):
+    h = (prob.x1 - prob.x0) / (n + 1)
+    x = prob.x0 + h * np.arange(1, n + 1)
     q = np.broadcast_to(np.asarray(prob.potential(x), dtype=float), x.shape)
     diag = 2.0 / h**2 + q
     off = np.full(n - 1, -1.0 / h**2)
@@ -102,28 +94,15 @@ def _richardson(table):
 def solve_sturm_liouville(prob: SLProblem, grid: GridSpec, count: int,
                           tol: float = 1e-6, below: float = math.inf) -> list[float]:
     """Of the lowest `count` eigenvalues, those below `below`,
-    Richardson-extrapolated across the refinement levels and linearly
-    extrapolated in the truncation offset.  Raises ConvergenceError if
-    the relative drift between the two highest-order Richardson
-    estimates of a returned level exceeds tol; levels at or above
-    `below` (say, in a box continuum) are dropped unchecked."""
+    Richardson-extrapolated across the refinement levels.  Raises
+    ConvergenceError if the relative drift between the two highest-order
+    Richardson estimates of a returned level exceeds tol; levels at or
+    above `below` (say, in a box continuum) are dropped unchecked."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    length = prob.x1 - prob.x0
-    per_offset = []
-    drift = np.zeros(count)
-    for eps_frac in grid.offsets:
-        a = prob.x0 + (eps_frac * length if prob.singular_left else 0.0)
-        b = prob.x1 - (eps_frac * length if prob.singular_right else 0.0)
-        table = [_eigs_on_grid(prob, a, b, grid.coarsest * 2**k - 1, count)
-                 for k in range(grid.levels)]
-        fine, prev = _richardson(table)
-        scale = np.maximum(np.abs(fine), 1.0)
-        drift = np.maximum(drift, np.abs(fine - prev) / scale)
-        per_offset.append(fine)
-    e1, e2 = grid.offsets[0], grid.offsets[1]
-    v1, v2 = per_offset[0], per_offset[1]
-    vals = v1 + (v1 - v2) * (e1 / (e2 - e1))  # linear extrapolation eps -> 0
+    vals, prev = _richardson([_eigs_on_grid(prob, grid.coarsest * 2**k - 1, count)
+                              for k in range(grid.levels)])
+    drift = np.abs(vals - prev) / np.maximum(np.abs(vals), 1.0)
     order = np.argsort(vals)
     vals, drift = vals[order], drift[order]
     kept = vals < below
@@ -155,7 +134,7 @@ def radial_problem_h2(lam: float, l3, L: float) -> SLProblem:
     cA = lam - 0.25
     cB = float(l3)**2 - 0.25
     pot = lambda x: cA / np.sinh(x)**2 - cB / np.cosh(x)**2 + 0.25
-    return SLProblem(potential=pot, x0=0.0, x1=L, singular_right=False)
+    return SLProblem(potential=pot, x0=0.0, x1=L)
 
 
 def radial_problem_s2(lam: float, l3) -> SLProblem:
@@ -164,7 +143,7 @@ def radial_problem_s2(lam: float, l3) -> SLProblem:
                      x0=0.0, x1=math.pi / 2)
 
 
-def _adaptive_L(lam, l3, grid, count=1, start=10.0, cap=60.0):
+def _adaptive_L(lam, l3, grid, count=1):
     """Choose the xi-domain length from the slowest bound-state decay rate.
 
     A bound state at energy E decays like exp(-sqrt(1/4 - E) xi); the
@@ -172,26 +151,26 @@ def _adaptive_L(lam, l3, grid, count=1, start=10.0, cap=60.0):
     length keeps the truncation error below the discretization error.
     The probe uses two levels and a quarter of grid's nodes, at least 256,
     so its coarsest level has >= 128 intervals for every valid grid."""
-    probe = GridSpec(nodes=max(256, grid.nodes // 4), offsets=grid.offsets,
-                     levels=2)
+    probe = GridSpec(nodes=max(256, grid.nodes // 4), levels=2)
     vals = np.array(solve_sturm_liouville(
-        radial_problem_h2(lam, l3, start), probe, count, tol=float("inf")))
+        radial_problem_h2(lam, l3, H2_L_START), probe, count, tol=float("inf")))
     bound = vals[vals < H2_THRESHOLD - 1e-6]
     if len(bound) == 0:
-        return start
+        return H2_L_START
     k_min = math.sqrt(max(H2_THRESHOLD - float(bound.max()), 1e-4))
-    return min(cap, max(start, 16.0 / k_min))
+    return min(H2_L_CAP, max(H2_L_START, 16.0 / k_min))
 
 
+MATCH_RTOL = 1e-3  # relative agreement of two levels: group_numeric, pde-check
 H2_THRESHOLD = 0.25  # continuum threshold: E = 1/4 - (positive)^2
+H2_L_START, H2_L_CAP = 10.0, 60.0  # probe and longest radial domain
 # Drift tolerance of the bound H^2 levels.  The radial domain is about 20
 # times longer than the angular one, so on the same node count the
 # Richardson drift of a bound level (an overestimate of its error) reaches
 # 6.5e-6 at 2048 nodes and exceeds 1e-4 at 1024 nodes for half-integer l
 # with up to three bound levels, while the levels stay within 1e-5 of the
-# closed form.  1e-3 is the relative tolerance at which pde-check matches
-# a numeric level to an analytic one.
-H2_DRIFT_TOL = 1e-3
+# closed form.  The drift may reach the agreement tolerance itself.
+H2_DRIFT_TOL = MATCH_RTOL
 
 
 def pde_spectrum(surface: str, l, counts=(3, 3),
@@ -225,12 +204,12 @@ def pde_spectrum(surface: str, l, counts=(3, 3),
     return out
 
 
-def group_numeric(levels, rtol=1e-3):
-    """Cluster numeric levels into (E, multiplicity) pairs."""
+def group_numeric(levels):
+    """Cluster numeric levels within MATCH_RTOL into (E, multiplicity) pairs."""
     groups = []
     for lv in sorted(levels, key=lambda t: float(t.E)):
         E = float(lv.E)
-        if groups and abs(E - groups[-1][0]) <= rtol * max(1.0, abs(E)):
+        if groups and abs(E - groups[-1][0]) <= MATCH_RTOL * max(1.0, abs(E)):
             e0, c = groups[-1]
             groups[-1] = ((e0 * c + E) / (c + 1), c + 1)
         else:

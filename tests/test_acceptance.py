@@ -220,9 +220,8 @@ def test_criterion_8_numerical_oracle():
         detail.append(f"{surface} in {elapsed:.1f}s")
     # observed convergence order >= 2 on a model problem
     from pseudosphere.specsolver import SLProblem, _eigs_on_grid
-    prob = SLProblem(potential=lambda x: 0.0, x0=0.0, x1=math.pi,
-                     singular_left=False, singular_right=False)
-    errs = [abs(_eigs_on_grid(prob, 0.0, math.pi, n, 1)[0] - 1.0)
+    prob = SLProblem(potential=lambda x: 0.0, x0=0.0, x1=math.pi)
+    errs = [abs(_eigs_on_grid(prob, n, 1)[0] - 1.0)
             for n in (256, 512, 1024)]
     order = math.log2(errs[0] / errs[1])
     ok &= order >= 1.9

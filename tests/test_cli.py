@@ -97,6 +97,9 @@ INVALID_MANIFESTS = [
      "has both 'a' and 'l'"),
     # a misspelled key is not ignored
     (dict(DEFAULT_MANIFEST, signature=[[1, 1, -1]]), "unknown manifest key 'signature'"),
+    (dict(DEFAULT_MANIFEST, params=[{"a": ["1/4", "1/4", "1/4"], "lx": ["1/2", "1/2", "13/2"]}]),
+     "params entry {'a': ['1/4', '1/4', '1/4'], 'lx': ['1/2', '1/2', '13/2']} "
+     "has unknown key 'lx'"),
 ]
 
 
@@ -255,6 +258,18 @@ class TestPdeCheck:
                     "--grid", "512", "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["vacuous"] and report["records"] == []
+
+    def test_drift_exit_1(self, tmp_path, capsys):
+        # l1 = 1/4 < 1/2: the angular solution x^(3/4) is not smooth at the
+        # endpoint, its Richardson drift exceeds the default tolerance, and
+        # no report is written
+        out = tmp_path / "pde.json"
+        assert run(["pde-check", "--surface", "s2", "--l", "1/4,1/2,1/2",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(r"pde-check: relative drift \S+ exceeds tolerance 1\.00e-06\n", err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("surface,l,E", [("h2", "1/2,1/2,13/2", -5.0),
                                              ("s2", "1/2,1/2,1/2", 20.0)])
