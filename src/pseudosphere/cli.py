@@ -24,7 +24,7 @@ from .model import (
     ModelParams,
     RELATION_FAMILIES,
     default_indices,
-    verify_metric_independence,
+    discover_linear_relation,
     verify_relation,
 )
 from .phase import verify_classical_relation, correspondence_check
@@ -168,9 +168,8 @@ def _map_jobs(tasks, workers):
         return [f.result() for f in [pool.submit(fn, *args) for fn, *args in tasks]]
 
 
-def _write_records(args, tasks):
-    """The report of the tasks' records, in task order, and their summary."""
-    records = _map_jobs(tasks, args.jobs)
+def _write_records(args, records):
+    """The report of the records and their summary."""
     summary = _summarize(records)
     return _write_report(args, {"records": records, "summary": summary},
                          summary["failed"] == 0)
@@ -184,25 +183,28 @@ def _quantum_job(family, idx, diag, a):
             "elapsed_ms": rep.elapsed_ms}
 
 
-def _linear_relation_job(dim, params, metrics):
-    """The discovered linear relation, per signature, on one params vector."""
-    mi = verify_metric_independence(dim, params, metrics, families=())
-    rels = []
-    for entry in mi["per_signature"]:
-        alpha, alpha_0, alpha_00 = entry["coefficients"]
-        rels.append({"signature": list(entry["metric"].diag),
-                     "alpha": {f"{i}{j}": _rat(c) for (i, j), c in alpha},
-                     "alpha_0": _rat(alpha_0), "alpha_00": _rat(alpha_00)})
-    return {"kind": "linear_relation_metric_independence",
-            "passed": mi["passed"], "relations": rels}
+def _signature_relation(diag, a):
+    """(coefficients, record entry) of the linear relation discovered on
+    one signature."""
+    coefficients = discover_linear_relation(Metric(diag), ModelParams.from_a(a)).coefficients()
+    alpha, alpha_0, alpha_00 = coefficients
+    return coefficients, {"signature": list(diag),
+                          "alpha": {f"{i}{j}": _rat(c) for (i, j), c in alpha},
+                          "alpha_0": _rat(alpha_0), "alpha_00": _rat(alpha_00)}
 
 
 def cmd_verify_algebra(args):
     dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
                                                 _quantum_job)
-    if dim >= 3:  # the linear relation needs three coordinates
-        jobs.append((_linear_relation_job, dim, params[0], metrics))
-    return _write_records(args, jobs)
+    # the linear relation needs three coordinates: one task per signature,
+    # the same relation on every signature in one record
+    rels = [(_signature_relation, m.diag, params[0].a) for m in metrics if dim >= 3]
+    records = _map_jobs(jobs + rels, args.jobs)
+    if found := records[len(jobs):]:
+        records[len(jobs):] = [{"kind": "linear_relation_metric_independence",
+                                "passed": len({c for c, _ in found}) == 1,
+                                "relations": [entry for _, entry in found]}]
+    return _write_records(args, records)
 
 
 def _classical_job(family, idx, diag, a):
@@ -224,7 +226,7 @@ def cmd_classical_check(args):
                                                 _classical_job)
     if dim >= 3:  # below three coordinates there is no generator pair to check
         jobs += [(_correspondence_job, m.diag, p.a) for m in metrics for p in params]
-    return _write_records(args, jobs)
+    return _write_records(args, _map_jobs(jobs, args.jobs))
 
 
 def cmd_racah_spectrum(args):

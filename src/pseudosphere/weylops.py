@@ -11,6 +11,13 @@ therefore plain structural equality.
 
 Negative coordinate powers compose through falling factorials, which is
 valid on the open set where the relevant coordinates do not vanish.
+
+The product kernel (``_products``) runs on packed integer keys.  Each
+operator, an immutable value, computes its packed view once, on first
+use: s_i, D_i and the h power of a term sit in one byte each (slots i,
+d + i and 2d), holding exponent + 128.  Every exponent is at most 42 in
+size, so no slot of a product or bracket leaves 1..255; a larger
+exponent raises ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from operator import add, sub
 
 Mono = tuple[int, ...]
 HPoly = dict[int, Fraction]
@@ -27,6 +33,11 @@ LaurentPoly = dict[Mono, Fraction]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_W, _MID = 8, 128  # the packed keys of the module docstring
+_BOUND = (_MID - 1) // 3
+_TABLE_CAP = 1 << 15
+_SHIFTS: dict[int, tuple] = {}
 
 
 class DimensionMismatch(ValueError):
@@ -164,7 +175,7 @@ class WeylOp(TermDict):
     scalar polynomial in h.
     """
 
-    __slots__ = ()
+    __slots__ = ("_view",)  # the packed view, set once by _packed
     _add = staticmethod(_hp_add)
     _scale = staticmethod(_hp_scale)
     _parts = staticmethod(dict.items)  # (h power, coefficient)
@@ -235,32 +246,6 @@ class WeylOp(TermDict):
 # ---------------------------------------------------------------------------
 # core operations
 
-@lru_cache(maxsize=8192)
-def _leibniz(B: Mono, C: Mono) -> tuple[tuple[Mono, int], ...]:
-    """Nonzero terms (j, coefficient) of D^B s^C = sum_j coeff s^(C-j) D^(B-j).
-
-    Per axis D^b s^c = sum_j C(b,j) c^(falling j) s^(c-j) D^(b-j); for
-    c >= 0 the falling factorial truncates the sum.  The first term is
-    always j = 0 with coefficient 1.
-    """
-    parts = [((), 1)]
-    for b, c in zip(B, C):
-        parts = [(j + (jx,), cf * comb(b, jx) * f) for j, cf in parts
-                 for jx in range(b + 1) if (f := _falling(c, jx))]
-    return tuple(parts)
-
-
-@lru_cache(maxsize=8192)
-def _leibniz_both(B: Mono, C: Mono, D: Mono, A: Mono, sign: int) -> tuple[tuple[Mono, int], ...]:
-    """The Leibniz terms of D^B s^C plus sign times those of D^D s^A,
-    merged by j, zeros dropped: for sign -1 the two j = 0 terms, both 1,
-    cancel."""
-    merged = dict(_leibniz(B, C))
-    for j, cf in _leibniz(D, A):
-        merged[j] = merged.get(j, 0) + sign * cf
-    return tuple((j, cf) for j, cf in merged.items() if cf)
-
-
 def _integer_terms(op: TermDict):
     """(den, [(A, B, part, n)]): the one integer view of a term
     dictionary, an entry per scalar component (part, v) of ``op._parts``
@@ -283,6 +268,66 @@ def _from_parts(cls, dim: int, den: int, entries) -> TermDict:
     return cls(dim, {key: cls._whole(ps) for key, ps in terms.items()})
 
 
+def _packed(op: WeylOp):
+    """(den, [(key, n, s and D slots of key)]): op's packed view, built
+    from ``_integer_terms`` and kept on op."""
+    den, rows = _integer_terms(op)
+    for i, (A, B, part, n) in enumerate(rows):
+        if max(map(abs, (*A, *B, part))) > _BOUND:
+            raise ValueError(f"exponent beyond the packed bound {_BOUND}: {A}, {B}, h^{part}")
+        key = int.from_bytes(bytes(_MID + x for x in (*A, *B, part)), "little")
+        rows[i] = (key, n, key & ~(-1 << 2 * op.dim * _W))
+    op._view = den, rows
+    return op._view
+
+
+@lru_cache(maxsize=None)
+def _axis_shifts(b: int, c: int) -> tuple[tuple[int, int], ...]:
+    """(j, C(b, j) c^(falling j)), nonzero, of the one-axis Leibniz rule
+    D^b s^c = sum_j C(b, j) c^(falling j) s^(c-j) D^(b-j)."""
+    return tuple((j, comb(b, j) * f) for j in range(b + 1) if (f := _falling(c, j)))
+
+
+def _shift_terms(bs: int, cs: int, d: int) -> dict[int, int]:
+    """{J: coefficient} of D^B s^C, B and C packed in d slots, J lowering
+    s_i and D_i by j_i: built axis by axis over the axes with b_i > 0."""
+    parts = {0: 1}
+    for i, (b, c) in enumerate(zip(bs.to_bytes(d, "little"), cs.to_bytes(d, "little"))):
+        if b > _MID:
+            parts = {J + j * (1 << i * _W | 1 << (d + i) * _W): cf * x for J, cf in parts.items()
+                     for j, x in _axis_shifts(b - _MID, c - _MID)}
+    return parts
+
+
+def _shifts(key: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The (J, coefficient) shift-table entry of key, filled on a miss.
+    Tag 0 packs the left D slots B over the right s slots C: D^B s^C.
+    Tag 1 or 3, a bracket of sign tag - 2, packs the left's s and D slots
+    A, B over the right's C, D: D^B s^C and sign * D^D s^A merged by J,
+    zeros dropped.  The top slot, a D slot, fixes d by the bit length."""
+    if (entry := _SHIFTS.get(key)) is not None:
+        return entry
+    if len(_SHIFTS) >= _TABLE_CAP:
+        _SHIFTS.clear()
+    dw = d * _W
+    C, D, A, B = (key >> 2 + k * dw & ~(-1 << dw) for k in range(4))
+    if key & 3:
+        merged = dict(_shifts(B << dw + 2 | C << 2, d))
+        for J, cf in _shifts(D << dw + 2 | A << 2, d):
+            merged[J] = merged.get(J, 0) + ((key & 3) - 2) * cf
+    else:  # a product's B sits where a bracket's D does
+        merged = _shift_terms(D, C, d)
+    entry = _SHIFTS[key] = tuple((J, cf) for J, cf in merged.items() if cf)
+    return entry
+
+
+@lru_cache(maxsize=_TABLE_CAP)
+def _unpacked(key: int, d: int) -> tuple[Mono, Mono, int]:
+    """(A, B, h power) of an output key."""
+    slots = [x - _MID for x in key.to_bytes(2 * d + 1, "little")]
+    return tuple(slots[:d]), tuple(slots[d:-1]), slots[-1]
+
+
 def _products(*pairs: tuple) -> WeylOp:
     """The sum over (lhs, rhs, sign[, c, e]) of
     c h^e (lhs o rhs + sign * rhs o lhs) in canonical normal order (sign
@@ -290,14 +335,16 @@ def _products(*pairs: tuple) -> WeylOp:
     compose and of both brackets, and of any exact residual built from
     such products, which it sums in one accumulator.
 
-    A term pair of the operands' integer views (``_integer_terms``),
-    u h^i s^A D^B and v h^k s^C D^D, gives s^(A+C-j) D^(B+D-j) h^(i+k+e)
-    in both orders, so its Leibniz terms D^B s^C and sign * D^D s^A merge
-    by j.  One flat integer accumulator, keyed (s exponents, D exponents,
-    h power), sums them over the lcm of dl * dr * den(c) over the pairs
-    (dl, dr the operands' denominators), skipping pairs with c = 0; the
-    scalars are rebuilt once (``_from_parts``)."""
+    The packed keys K, L (``_packed``) of u h^i s^A D^B and v h^k s^C D^D
+    give s^(A+C-j) D^(B+D-j) h^(i+k+e) in both orders at key
+    K + L - bias - J (+ e in the h slot), J the packed j: the Leibniz
+    terms D^B s^C and sign * D^D s^A merge by J in one shift-table entry
+    (``_shifts``).  Every exponent is at most _BOUND in size, so no slot
+    borrows from its neighbour.  One integer accumulator sums over the
+    lcm of dl * dr * den(c) (dl, dr the operands' denominators), skipping
+    c = 0; keys are unpacked and scalars rebuilt once (``_from_parts``)."""
     first = pairs[0][0]
+    d = first.dim
     factors = []
     for lhs, rhs, sign, *ce in pairs:
         first._check(lhs)
@@ -305,27 +352,29 @@ def _products(*pairs: tuple) -> WeylOp:
         c, e = (Fraction(ce[0]), ce[1]) if ce else (_ONE, 0)
         if not c:
             continue
-        dl, left = _integer_terms(lhs)
-        dr, right = _integer_terms(rhs)
+        if abs(e) > _BOUND:
+            raise ValueError(f"h power {e} beyond the packed bound {_BOUND}")
+        dl, left = getattr(lhs, "_view", None) or _packed(lhs)
+        dr, right = getattr(rhs, "_view", None) or _packed(rhs)
         factors.append((dl * dr * c.denominator, c.numerator, e, left, right, sign))
-    den = lcm(*(d for d, *_ in factors))
-    acc: dict[tuple[Mono, Mono, int], int] = {}
-    for d, f, e, left, right, sign in factors:
-        f *= den // d
-        for A, B, i, u in left:
-            u *= f
-            i += e
-            for C, D, k, v in right:
-                shifts = _leibniz_both(B, C, D, A, sign) if sign else _leibniz(B, C)
-                if not shifts:
-                    continue
-                AC = tuple(map(add, A, C))
-                BD = tuple(map(add, B, D))
-                power, uv = i + k, u * v
-                for jvec, cf in shifts:
-                    key = (tuple(map(sub, AC, jvec)), tuple(map(sub, BD, jvec)), power)
-                    acc[key] = acc.get(key, 0) + cf * uv
-    return _from_parts(WeylOp, first.dim, den, ((*key, n) for key, n in acc.items()))
+    den = lcm(*(dd for dd, *_ in factors))
+    dw, bias = d * _W, int.from_bytes(bytes([_MID] * (2 * d + 1)), "little")
+    shifts_of = _SHIFTS.get
+    acc: dict[int, int] = {}
+    for dd, f, e, left, right, sign in factors:
+        f *= den // dd
+        lefts = [(K + (e << 2 * dw) - bias, u * f, sd << 2 * dw + 2 | sign + 2 if sign
+                  else sd >> dw << dw + 2) for K, u, sd in left]
+        rights = [(L, v, (sd if sign else sd & ~(-1 << dw)) << 2) for L, v, sd in right]
+        for K, u, lk in lefts:
+            for L, v, rk in rights:
+                if (shifts := shifts_of(lk | rk)) is None:
+                    shifts = _shifts(lk | rk, d)
+                if shifts:
+                    base, uv = K + L, u * v
+                    for J, cf in shifts:
+                        acc[base - J] = acc.get(base - J, 0) + cf * uv
+    return _from_parts(WeylOp, d, den, ((*_unpacked(key, d), n) for key, n in acc.items()))
 
 
 def compose(lhs: WeylOp, rhs: WeylOp) -> WeylOp:

@@ -19,6 +19,8 @@ from pseudosphere.model import (
 from pseudosphere.phase import verify_classical_relation, correspondence_check
 from pseudosphere.racah3 import (
     LEADING_COEFF,
+    analytic_spectrum_h2,
+    analytic_spectrum_s2,
     verify_daskaloyannis_form,
     verify_casimir,
     m_values,
@@ -26,13 +28,6 @@ from pseudosphere.racah3 import (
     structure_function_roots,
     structure_function_eval,
     find_spectrum,
-)
-from pseudosphere.specsolver import (
-    GridSpec,
-    analytic_spectrum_h2,
-    analytic_spectrum_s2,
-    pde_spectrum,
-    group_numeric,
 )
 
 MINIMAL_DIMS = {"symmetry": 3, "qq_c": 3, "qc_adjacent": 3, "qc_disjoint": 4,
@@ -188,6 +183,10 @@ def test_criterion_7_spectrum_reproduction():
 
 
 def test_criterion_8_numerical_oracle():
+    # the only criterion that needs numpy and scipy: the other eight run
+    # without them
+    from pseudosphere.specsolver import GridSpec, SLProblem, _eigs_on_grid, group_numeric, \
+        pde_spectrum
     grid = GridSpec(nodes=2048)
     cases = {
         "h2": [(F(1, 2), F(1, 2), F(13, 2)),
@@ -219,7 +218,6 @@ def test_criterion_8_numerical_oracle():
         ok &= elapsed < 120
         detail.append(f"{surface} in {elapsed:.1f}s")
     # observed convergence order >= 2 on a model problem
-    from pseudosphere.specsolver import SLProblem, _eigs_on_grid
     prob = SLProblem(potential=lambda x: 0.0, x0=0.0, x1=math.pi)
     errs = [abs(_eigs_on_grid(prob, n, 1)[0] - 1.0)
             for n in (256, 512, 1024)]

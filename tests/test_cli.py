@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, report artifacts."""
 
 import csv
+import itertools
 import json
 import os
 import re
@@ -170,11 +171,15 @@ class TestClassicalCheck:
         corr = [r for r in report["records"] if r["kind"] == "correspondence"]
         assert corr and all(r["global_sign"] == -1 for r in corr)
 
-    @pytest.mark.parametrize("command", ["classical-check", "verify-algebra"])
-    def test_jobs_match_serial(self, command, tmp_path):
-        # dim 3: verify-algebra's last task is its linear-relation record
-        manifest = dict(DEFAULT_MANIFEST, signatures=[[1, 1, -1], [-1, -1, -1]],
-                        relations=["symmetry", "qq_c", "qc_adjacent"])
+    @pytest.mark.parametrize("command,manifest", [
+        ("classical-check", dict(DEFAULT_MANIFEST, signatures=[[1, 1, -1], [-1, -1, -1]],
+                                 relations=["symmetry", "qq_c", "qc_adjacent"])),
+        # dim 4, all 16 signatures: one linear-relation task per signature,
+        # assembled into verify-algebra's last record
+        ("verify-algebra", {"dim": 4, "signatures": "all", "relations": ["qc_adjacent"],
+                            "params": [{"a": ["1/4", "-2/3", "3", "1/5"]}]}),
+    ], ids=["classical-check", "verify-algebra"])
+    def test_jobs_match_serial(self, command, manifest, tmp_path):
         mpath = tmp_path / "m.json"
         mpath.write_text(json.dumps(manifest))
         reports = []
@@ -187,7 +192,9 @@ class TestClassicalCheck:
         assert reports[0] == reports[1]
         if command == "verify-algebra":
             last = json.loads(reports[0])["records"][-1]
-            assert last["kind"] == "linear_relation_metric_independence"
+            assert last["kind"] == "linear_relation_metric_independence" and last["passed"]
+            assert [r["signature"] for r in last["relations"]] == \
+                [list(d) for d in itertools.product((1, -1), repeat=4)]
 
     def test_dim2_manifest_has_no_correspondence_record(self, tmp_path):
         # below d = 3 there is no generator pair, so no correspondence

@@ -29,6 +29,7 @@ from pseudosphere.weylops import (
     _hp_scale,
     _normal_forms,
     _pivot_shift,
+    _BOUND,
     _products,
 )
 
@@ -337,14 +338,14 @@ def reference_compose(lhs, rhs):
 
 @st.composite
 def dense_ops(draw, dim):
-    """Canonical operators with multi-term h-polynomials (h powers 0..3),
-    denominators 1..6, s exponents -4..4 and D exponents 0..3."""
+    """Canonical operators with multi-term h-polynomials (h powers 0..5),
+    denominators 1..6, s exponents -12..12 and D exponents 0..3."""
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
-        key = (tuple(draw(st.integers(-4, 4)) for _ in range(dim)),
+        key = (tuple(draw(st.integers(-12, 12)) for _ in range(dim)),
                tuple(draw(st.integers(0, 3)) for _ in range(dim)))
         terms[key] = {k: F(draw(st.sampled_from(NONZERO)), draw(st.integers(1, 6)))
-                      for k in draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))}
+                      for k in draw(st.sets(st.integers(0, 5), min_size=1, max_size=3))}
     return WeylOp(dim, terms)
 
 
@@ -356,7 +357,7 @@ def assert_canonical(op):
 
 class TestComposeOracle:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 5))
+    @given(data=st.data(), dim=st.integers(1, 6))
     def test_matches_reference_compose(self, data, dim):
         X = data.draw(dense_ops(dim))
         Y = data.draw(dense_ops(dim))
@@ -373,6 +374,69 @@ class TestComposeOracle:
         for Y in (WeylOp.zero(3), zero_scalar):
             assert compose(X, Y).terms == {} == compose(Y, X).terms
             assert reference_compose(X, Y).terms == {}
+
+
+class TestPackedBound:
+    def test_exponents_at_the_bound_match_the_oracle(self):
+        # the extreme slots: s exponents down to -3 * _BOUND, D exponents
+        # up to 2 * _BOUND, h powers up to 3 * _BOUND
+        X = WeylOp.term(2, F(3, 7), smon=(-_BOUND, _BOUND), dmon=(_BOUND, 1), hpow=_BOUND)
+        Y = WeylOp.term(2, F(-5, 2), smon=(-_BOUND, 2), dmon=(_BOUND, 0), hpow=_BOUND) \
+            + WeylOp.term(2, 1, smon=(_BOUND, -_BOUND), hpow=-_BOUND)
+        assert compose(X, Y).terms == reference_compose(X, Y).terms
+        assert _products((X, Y, -1, 1, _BOUND)).terms == \
+            (reference_compose(X, Y) - reference_compose(Y, X)).scale_h(_BOUND).terms
+
+    @pytest.mark.parametrize("smon,dmon,hpow", [
+        ((_BOUND + 1, 0), (0, 0), 0), ((0, -_BOUND - 1), (0, 0), 0),
+        ((0, 0), (0, _BOUND + 1), 0), ((0, 0), (0, 0), _BOUND + 1), ((0, 0), (0, 0), -_BOUND - 1)])
+    def test_exponent_beyond_the_bound_raises(self, smon, dmon, hpow):
+        big = WeylOp.term(2, 1, smon=smon, dmon=dmon, hpow=hpow)
+        for lhs, rhs in ((big, D(0, dim=2)), (s(1, dim=2), big)):
+            with pytest.raises(ValueError, match="packed bound"):
+                compose(lhs, rhs)
+            with pytest.raises(ValueError, match="packed bound"):
+                commutator(lhs, rhs)
+
+    def test_h_weight_beyond_the_bound_raises(self):
+        with pytest.raises(ValueError, match="packed bound"):
+            _products((s(0), D(0), 0, 1, _BOUND + 1))
+        # a c = 0 pair is skipped before its weight is read
+        assert _products((s(0), D(0), 0, 0, _BOUND + 1)).is_zero()
+
+
+class TestPackedView:
+    def test_built_once_per_operator(self, monkeypatch):
+        from pseudosphere import weylops
+        X, Y = compose(s(0), D(1)), s(1, 2) + D(0)
+        built = []
+        packed = weylops._packed
+        monkeypatch.setattr(weylops, "_packed", lambda op: built.append(op) or packed(op))
+        compose(X, Y)
+        commutator(Y, X)
+        _products((X, X, 1, F(1, 2), 1), (Y, X, 0))
+        assert len(built) == 2 and built[0] is X and built[1] is Y
+
+    def test_derived_operators_compose_like_fresh_ones(self):
+        # an operator used in a product carries its packed view; nothing
+        # derived from it may reuse that view
+        rng = random.Random(31)
+        m = Metric((1, 1, -1))
+        for _ in range(8):
+            X = random_op(rng, dim=3).scale_h(1)
+            Y = random_op(rng, dim=3)
+            compose(X, Y)
+            commutator(Y, X)
+            derived = [X.scale(F(-3, 2)), X + Y, X - Y, Y - X, X.scale_h(2),
+                       divide_by_hbar(X), specialize_hbar(X, F(1, 3)),
+                       reduce_mod_constraint(X, m)]
+            for Z in derived:
+                fresh = WeylOp(3, {key: dict(hp) for key, hp in Z.terms.items()})
+                for W in (X, Y, fresh):
+                    want = reference_compose(fresh, W).terms
+                    assert compose(Z, W).terms == compose(fresh, W).terms == want
+                    assert commutator(W, Z).terms == commutator(W, fresh).terms == \
+                        (reference_compose(W, fresh) - reference_compose(fresh, W)).terms
 
 
 class TestIntegerView:
@@ -412,7 +476,7 @@ def reference_anticommutator(lhs, rhs):
 
 class TestBracketOracle:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 5))
+    @given(data=st.data(), dim=st.integers(1, 6))
     def test_matches_reference_brackets(self, data, dim):
         X = data.draw(dense_ops(dim))
         Y = data.draw(dense_ops(dim))
@@ -450,7 +514,7 @@ def reference_weighted(pairs):
 
 class TestWeightedProducts:
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 4))
+    @given(data=st.data(), dim=st.integers(1, 6))
     def test_matches_sum_of_scaled_products(self, data, dim):
         pairs = data.draw(weighted_pairs(dim))
         got = _products(*pairs)
