@@ -21,13 +21,14 @@ from . import __version__
 from .weylops import Metric
 from .model import (
     MIN_DIMENSION,
+    QUANTUM,
     ModelParams,
     RELATION_FAMILIES,
+    _verdict,
     default_indices,
     discover_linear_relation,
-    verify_relation,
 )
-from .phase import verify_classical_relation, correspondence_check
+from .phase import CLASSICAL, correspondence_check
 from .racah3 import SURFACES, find_spectrum, match_spectrum_to_signature
 
 
@@ -107,12 +108,12 @@ def _manifest_params(manifest, dim):
     return out
 
 
-def _relation_jobs(manifest, job):
-    """(dim, metrics, params, jobs) of a manifest: one (job, family,
-    indices, signature, a) task per family the dimension admits, signature
-    and params vector.  Raises ValueError on an invalid manifest (checking
-    each vector's length before "all" signatures expand), and on one that
-    admits no relation job."""
+def _relation_jobs(manifest, kind):
+    """(dim, metrics, params, jobs) of a manifest: one (_relation_job,
+    kind, family, indices, signature, a) task per family the dimension
+    admits, signature and params vector.  Raises ValueError on an invalid
+    manifest (checking each vector's length before "all" signatures
+    expand), and on one that admits no relation job."""
     _shape(manifest, dict, "the manifest must be a JSON object")
     if unknown := sorted(set(manifest) - set(DEFAULT_MANIFEST)):
         raise ValueError(f"unknown manifest key {unknown[0]!r}")
@@ -128,7 +129,7 @@ def _relation_jobs(manifest, job):
     for fam in families:
         if not isinstance(fam, str) or fam not in MIN_DIMENSION:
             raise ValueError(f"unknown relation family {fam!r}")
-    jobs = [(job, fam, default_indices(fam, dim), metric.diag, p.a)
+    jobs = [(_relation_job, kind, fam, default_indices(fam, dim), metric.diag, p.a)
             for fam in families if MIN_DIMENSION[fam] <= dim
             for metric in metrics for p in params]
     if not jobs:
@@ -175,12 +176,14 @@ def _write_records(args, records):
                          summary["failed"] == 0)
 
 
-def _quantum_job(family, idx, diag, a):
-    rep = verify_relation(family, idx, Metric(diag), ModelParams.from_a(a))
-    return {"kind": "quantum", "family": family, "indices": list(idx),
+def _relation_job(kind, family, idx, diag, a):
+    """The record of one relation over the "quantum" or "classical" ring."""
+    rep = _verdict(family, idx, Metric(diag), ModelParams.from_a(a),
+                   QUANTUM if kind == "quantum" else CLASSICAL)
+    return {"kind": kind, "family": family, "indices": list(idx),
             "signature": list(diag), "a": [_rat(x) for x in a],
             "passed": rep.passed, "reduced": rep.reduced,
-            "elapsed_ms": rep.elapsed_ms}
+            "residual_terms": rep.residual_terms, "elapsed_ms": rep.elapsed_ms}
 
 
 def _signature_relation(diag, a):
@@ -194,8 +197,7 @@ def _signature_relation(diag, a):
 
 
 def cmd_verify_algebra(args):
-    dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
-                                                _quantum_job)
+    dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest), "quantum")
     # the linear relation needs three coordinates: one task per signature,
     # the same relation on every signature in one record
     rels = [(_signature_relation, m.diag, params[0].a) for m in metrics if dim >= 3]
@@ -207,13 +209,6 @@ def cmd_verify_algebra(args):
     return _write_records(args, records)
 
 
-def _classical_job(family, idx, diag, a):
-    r = verify_classical_relation(family, idx, Metric(diag), ModelParams.from_a(a))
-    r.update({"kind": "classical", "signature": list(diag),
-              "a": [_rat(x) for x in a], "indices": list(r["indices"])})
-    return r
-
-
 def _correspondence_job(diag, a):
     cc = correspondence_check(Metric(diag), ModelParams.from_a(a))
     return {"kind": "correspondence", "signature": list(diag),
@@ -222,8 +217,7 @@ def _correspondence_job(diag, a):
 
 
 def cmd_classical_check(args):
-    dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest),
-                                                _classical_job)
+    dim, metrics, params, jobs = _relation_jobs(_load_manifest(args.manifest), "classical")
     if dim >= 3:  # below three coordinates there is no generator pair to check
         jobs += [(_correspondence_job, m.diag, p.a) for m in metrics for p in params]
     return _write_records(args, _map_jobs(jobs, args.jobs))

@@ -250,12 +250,6 @@ def _table_residual(family: str, idx: tuple[int, ...], metric: Metric,
     return ring.products(*pairs)
 
 
-def _relation_residual(family: str, idx: tuple[int, ...], metric: Metric,
-                       params: ModelParams) -> WeylOp:
-    """LHS - RHS of the cited relation, with h kept formal."""
-    return _table_residual(family, idx, metric, params, QUANTUM)
-
-
 def _closes(residual, metric: Metric) -> tuple[bool, bool]:
     """(passed, reduced) of a residual in either ring: zero in the ambient
     ring, else zero modulo the quadric."""
@@ -265,21 +259,28 @@ def _closes(residual, metric: Metric) -> tuple[bool, bool]:
     return passed, passed
 
 
+def _verdict(family: str, idx, metric: Metric, params: ModelParams,
+             ring: Ring) -> RelationReport:
+    """The relation report of family at idx over ring, timed: a residual
+    with no overall factor of h (``NotDivisible``) fails with
+    residual_terms -1."""
+    t0 = time.perf_counter()
+    idx = tuple(idx)
+    try:
+        residual = _table_residual(family, idx, metric, params, ring)
+    except NotDivisible:
+        passed, reduced, terms = False, False, -1
+    else:
+        passed, reduced = _closes(residual, metric)
+        terms = 0 if passed else len(residual.terms)
+    return RelationReport(family, idx, metric.diag, params.a, passed, reduced, terms,
+                          (time.perf_counter() - t0) * 1e3)
+
+
 def verify_relation(family: str, indices, metric: Metric,
                     params: ModelParams) -> RelationReport:
     """Check one relation; failure is data, not an exception."""
-    t0 = time.perf_counter()
-    idx = tuple(indices)
-    try:
-        residual = _relation_residual(family, idx, metric, params)
-    except NotDivisible:
-        return RelationReport(family, idx, metric.diag, params.a, False, False, -1,
-                              (time.perf_counter() - t0) * 1e3)
-    passed, reduced = _closes(residual, metric)
-    return RelationReport(
-        family, idx, metric.diag, params.a, passed, reduced,
-        0 if passed else len(residual.terms), (time.perf_counter() - t0) * 1e3,
-    )
+    return _verdict(family, indices, metric, params, QUANTUM)
 
 
 def default_indices(family: str, dim: int) -> tuple[int, ...]:

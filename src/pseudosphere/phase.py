@@ -12,8 +12,9 @@ from itertools import combinations, permutations
 from math import lcm
 from operator import add, mul
 
-from .weylops import Metric, TermDict, WeylOp, reduce_mod_constraint, vanishes_mod_constraint
-from .model import QUANTUM, ModelParams, Ring, _closes, _generators, _rotation, _table_residual
+from .weylops import (Metric, TermDict, WeylOp, _integer_terms, reduce_mod_constraint,
+                      vanishes_mod_constraint)
+from .model import QUANTUM, ModelParams, Ring, _generators, _rotation, _table_residual, _verdict
 
 Mono = tuple[int, ...]
 
@@ -31,34 +32,15 @@ class PhasePoly(TermDict):
     _scale = staticmethod(mul)
     _parts = staticmethod(lambda c: ((0, c),))
     _whole = staticmethod(lambda parts: parts[0])
+    _LETTER = "p"
 
     @classmethod
     def term(cls, dim, coeff, smon: Mono = None, pmon: Mono = None) -> "PhasePoly":
-        c = Fraction(coeff)
-        if not c:
-            return cls(dim)
-        A = tuple(smon) if smon is not None else (0,) * dim
-        B = tuple(pmon) if pmon is not None else (0,) * dim
-        if len(A) != dim or len(B) != dim or any(b < 0 for b in B):
-            raise ValueError("bad exponent vectors")
-        return cls(dim, {(A, B): c})
+        return cls._term(dim, coeff, smon, pmon, 0)
 
     @classmethod
     def momentum(cls, dim, i, power=1):
         return cls.term(dim, 1, pmon=tuple(power if k == i else 0 for k in range(dim)))
-
-    def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "PhasePoly(0)"
-        bits = []
-        for (A, B), c in sorted(self.terms.items()):
-            sm = "".join(f"*s{i + 1}^{e}" for i, e in enumerate(A) if e)
-            pm = "".join(f"*p{i + 1}^{e}" for i, e in enumerate(B) if e)
-            bits.append(f"({c}){sm}{pm}")
-        return "PhasePoly[" + " + ".join(bits) + "]"
 
     def __mul__(self, other):
         if isinstance(other, PhasePoly):
@@ -82,13 +64,6 @@ class PhasePoly(TermDict):
             B2 = tuple(b - 1 if k == i else b for k, b in enumerate(B))
             out[(A, B2)] = c * B[i]
         return PhasePoly(self.dim, out)
-
-
-def _integer_terms(f: PhasePoly):
-    """(den, [(A, B, integer numerator over den)]), den the lcm of f's
-    denominators."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return den, [(A, B, c.numerator * (den // c.denominator)) for (A, B), c in f.terms.items()]
 
 
 def _products(*pairs: tuple) -> PhasePoly:
@@ -120,7 +95,7 @@ def _products(*pairs: tuple) -> PhasePoly:
             continue
         if not bracket:
             c *= 1 + sign
-        dl, left = _integer_terms(lhs)
+        dl, left = _integer_terms(lhs)  # (A, B, part 0, numerator) rows
         dr, right = _integer_terms(rhs)
         factors.append((dl * dr * c.denominator, c.numerator, bracket, left, right))
     den = lcm(*(d for d, *_ in factors))
@@ -128,9 +103,9 @@ def _products(*pairs: tuple) -> PhasePoly:
     acc: dict[tuple[Mono, Mono], int] = {}
     for d, n, bracket, left, right in factors:
         f = den // d * n
-        for A, B, u in left:
+        for A, B, _, u in left:
             u *= f
-            for C, D, v in right:
+            for C, D, _, v in right:
                 if not bracket:
                     key = (tuple(map(add, A, C)), tuple(map(add, B, D)))
                     acc[key] = acc.get(key, 0) + u * v
@@ -203,11 +178,11 @@ def classical_relation_residual(family: str, idx, metric: Metric,
 
 def verify_classical_relation(family: str, idx, metric: Metric,
                               params: ModelParams) -> dict:
-    residual = classical_relation_residual(family, tuple(idx), metric, params)
-    passed, reduced = _closes(residual, metric)
-    return {"family": family, "indices": tuple(idx), "passed": passed,
-            "reduced": reduced,
-            "residual_terms": 0 if passed else len(residual.terms)}
+    """The fields of ``model.verify_relation``'s report, less the
+    signature, params and timing, over the classical ring."""
+    r = _verdict(family, idx, metric, params, CLASSICAL)
+    return {"family": r.family, "indices": r.indices, "passed": r.passed,
+            "reduced": r.reduced, "residual_terms": r.residual_terms}
 
 
 # ---------------------------------------------------------------------------

@@ -109,9 +109,12 @@ class TermDict:
     over a scalar ring given by ``_add(c, c2)`` and ``_scale(c, rational)``,
     with zero scalars falsy and pruned.  A scalar is a vector of rational
     components over Q: ``_parts(c)`` lists its nonzero (part, rational)
-    pairs and ``_whole({part: rational})`` rebuilds it; the constraint
-    rewrite reads and writes scalars only through these.  Instances are
-    treated as immutable values; all arithmetic returns new objects.
+    pairs and ``_whole({part: rational})`` rebuilds it from a fresh dict
+    (every caller, ``_term`` and ``_from_parts``, passes one it has just
+    built); the constructor, the presentation and the constraint rewrite
+    read and write scalars only through these, and ``_LETTER`` names the
+    second variables (D or p) in ``repr``.  Instances are treated as
+    immutable values; all arithmetic returns new objects.
     """
 
     __slots__ = ("dim", "terms")
@@ -119,6 +122,18 @@ class TermDict:
     def __init__(self, dim: int, terms: dict | None = None):
         self.dim = dim
         self.terms = {} if terms is None else terms
+
+    @classmethod
+    def _term(cls, dim: int, coeff, A: Mono, B: Mono, part: int):
+        """coeff s^A B in scalar component part (A, B all 0 when None)."""
+        c = Fraction(coeff)
+        if not c:
+            return cls(dim)
+        A = tuple(A) if A is not None else (0,) * dim
+        B = tuple(B) if B is not None else (0,) * dim
+        if len(A) != dim or len(B) != dim or any(b < 0 for b in B):
+            raise ValueError("bad exponent vectors")
+        return cls(dim, {(A, B): cls._whole({part: c})})
 
     @classmethod
     def zero(cls, dim: int):
@@ -130,6 +145,27 @@ class TermDict:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __hash__(self):
+        return hash((self.dim, self.sorted_terms()))
+
+    def sorted_terms(self) -> tuple:
+        """Deterministic (lexicographic) presentation of the term list:
+        (key, sorted (part, rational) components) per key."""
+        return tuple((key, tuple(sorted(self._parts(self.terms[key]))))
+                     for key in sorted(self.terms))
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if self.is_zero():
+            return f"{name}(0)"
+        bits = []
+        for (A, B), parts in self.sorted_terms():
+            sc = " + ".join(f"{c}" + (f"*h^{k}" if k else "") for k, c in parts)
+            smon = "".join(f"*s{i + 1}^{e}" for i, e in enumerate(A) if e)
+            bmon = "".join(f"*{self._LETTER}{i + 1}^{e}" for i, e in enumerate(B) if e)
+            bits.append(f"({sc}){smon}{bmon}")
+        return f"{name}[" + " + ".join(bits) + "]"
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -179,21 +215,15 @@ class WeylOp(TermDict):
     _add = staticmethod(_hp_add)
     _scale = staticmethod(_hp_scale)
     _parts = staticmethod(dict.items)  # (h power, coefficient)
-    _whole = staticmethod(dict)
+    _whole = staticmethod(lambda parts: parts)
+    _LETTER = "D"
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def term(cls, dim: int, coeff, smon: Mono = None, dmon: Mono = None,
              hpow: int = 0) -> "WeylOp":
-        c = Fraction(coeff)
-        if not c:
-            return cls(dim)
-        A = tuple(smon) if smon is not None else (0,) * dim
-        B = tuple(dmon) if dmon is not None else (0,) * dim
-        if len(A) != dim or len(B) != dim or any(b < 0 for b in B):
-            raise ValueError("bad exponent vectors")
-        return cls(dim, {(A, B): {hpow: c}})
+        return cls._term(dim, coeff, smon, dmon, hpow)
 
     @classmethod
     def const(cls, dim: int, coeff, hpow: int = 0) -> "WeylOp":
@@ -201,33 +231,7 @@ class WeylOp(TermDict):
 
     @classmethod
     def deriv(cls, dim: int, i: int, power: int = 1) -> "WeylOp":
-        dmon = tuple(power if k == i else 0 for k in range(dim))
-        return cls.term(dim, 1, dmon=dmon)
-
-    # -- basic structure ----------------------------------------------------
-
-    def __hash__(self):
-        return hash((self.dim, self.sorted_terms()))
-
-    def sorted_terms(self) -> tuple:
-        """Deterministic (lexicographic) presentation of the term list."""
-        return tuple(
-            (key, tuple(sorted(self.terms[key].items())))
-            for key in sorted(self.terms)
-        )
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "WeylOp(0)"
-        bits = []
-        for (A, B), hp in self.sorted_terms():
-            sc = " + ".join(
-                f"{c}" + (f"*h^{k}" if k else "") for k, c in hp
-            )
-            mono = "".join(f"*s{i + 1}^{e}" for i, e in enumerate(A) if e)
-            dmon = "".join(f"*D{i + 1}^{e}" for i, e in enumerate(B) if e)
-            bits.append(f"({sc}){mono}{dmon}")
-        return "WeylOp[" + " + ".join(bits) + "]"
+        return cls.term(dim, 1, dmon=tuple(power if k == i else 0 for k in range(dim)))
 
     # -- arithmetic ---------------------------------------------------------
 

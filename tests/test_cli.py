@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -209,6 +210,66 @@ class TestClassicalCheck:
         assert len(records) == 4
         assert all(r["kind"] == "classical" and r["family"] == "symmetry"
                    and r["passed"] for r in records)
+
+
+RECORD_FIELDS = ["kind", "family", "indices", "signature", "a", "passed", "reduced",
+                 "residual_terms", "elapsed_ms"]
+BUMP_MANIFEST = {"dim": 3, "signatures": [[1, -1, 1]], "params": [{"a": ["1/3", "2", "-1/2"]}],
+                 "relations": ["qc_adjacent"]}
+
+
+class TestRelationRecords:
+    """verify-algebra's quantum and classical-check's classical records
+    are one record, with the same fields in the same order."""
+
+    def test_both_kinds_write_the_same_fields(self, tmp_path):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(dict(BUMP_MANIFEST, relations=["symmetry", "qq_c"])))
+        for command, kind in (("verify-algebra", "quantum"), ("classical-check", "classical")):
+            out = tmp_path / f"{kind}.json"
+            assert run([command, "--manifest", str(mpath), "--out", str(out)]) == 0
+            records = [r for r in json.loads(out.read_text())["records"] if r["kind"] == kind]
+            assert len(records) == 2
+            assert all(list(r) == RECORD_FIELDS and r["passed"] and r["residual_terms"] == 0
+                       for r in records)
+
+    def test_bumped_term_fails_with_its_residual_size(self, tmp_path, monkeypatch):
+        # the first qc_adjacent RHS coefficient bumped by +1: the residual
+        # sizes of the library verdicts (tests/test_model.py) on both rings
+        from pseudosphere import model
+        arity, lhs, ((c, *rest), *others) = model.RELATIONS["qc_adjacent"]
+        monkeypatch.setitem(model.RELATIONS, "qc_adjacent",
+                            (arity, lhs, ((c + 1, *rest), *others)))
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(BUMP_MANIFEST))
+        for command, kind, terms in (("verify-algebra", "quantum", 55),
+                                     ("classical-check", "classical", 24)):
+            out = tmp_path / f"{kind}.json"
+            assert run([command, "--manifest", str(mpath), "--out", str(out)]) == 1
+            rec = json.loads(out.read_text())["records"][0]
+            assert list(rec) == RECORD_FIELDS
+            assert (rec["kind"], rec["passed"], rec["reduced"], rec["residual_terms"]) == \
+                (kind, False, False, terms)
+
+    def test_not_divisible_bracket_is_a_failed_record(self, monkeypatch):
+        # an h^0 term s_0 D_0 on the quantum Q_01 leaves [Q_01, Q_02] with
+        # no overall factor of h: the record fails with residual_terms -1
+        from pseudosphere import cli, model
+        from pseudosphere.weylops import WeylOp
+        build = model._build
+
+        def mutated(ring, metric, params, gen, *tag):
+            op = build(ring, metric, params, gen, *tag)
+            if ring is model.QUANTUM and tag == ("Q", 0, 1):
+                op += WeylOp.term(3, 1, smon=(1, 0, 0), dmon=(1, 0, 0))
+            return op
+
+        monkeypatch.setattr(model, "_build", mutated)
+        for fam in ("qq_c", "qc_adjacent"):
+            rec = cli._relation_job("quantum", fam, (0, 1, 2), (1, -1, 1),
+                                    (Fraction(1, 3), Fraction(2), Fraction(-1, 2)))
+            assert list(rec) == RECORD_FIELDS
+            assert (rec["passed"], rec["reduced"], rec["residual_terms"]) == (False, False, -1)
 
 
 class TestRacahSpectrum:

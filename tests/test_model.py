@@ -411,6 +411,59 @@ class TestRelationTable:
             admissible_tuples("bogus", 3)
 
 
+# qc_adjacent with its first RHS coefficient bumped by +1 fails on both
+# rings at this signature and params vector, with these residual sizes
+BUMP_DIAG, BUMP_A, BUMP_TERMS = (1, -1, 1), (F(1, 3), 2, F(-1, 2)), (55, 24)
+
+
+def bump_first_qc_adjacent(monkeypatch):
+    arity, lhs, ((c, *rest), *others) = RELATIONS["qc_adjacent"]
+    monkeypatch.setitem(model.RELATIONS, "qc_adjacent", (arity, lhs, ((c + 1, *rest), *others)))
+
+
+def add_h0_term_to_quantum_Q01(monkeypatch):
+    """Add s_0 D_0 at h^0 to the quantum Q_01: its bracket with Q_02's
+    h^0 part has an h^0 term, so C_012 has no overall factor of h.
+    (s_0 D_1 would not do: it commutes with that part of Q_02.)"""
+    build = model._build
+
+    def mutated(ring, metric, params, gen, *tag):
+        op = build(ring, metric, params, gen, *tag)
+        if ring is model.QUANTUM and tag == ("Q", 0, 1):
+            e0 = (1,) + (0,) * (metric.dim - 1)
+            op += WeylOp.term(metric.dim, 1, smon=e0, dmon=e0)
+        return op
+
+    monkeypatch.setattr(model, "_build", mutated)
+
+
+class TestVerdictFailures:
+    """The two failure shapes of the one relation verdict, model._verdict:
+    a residual that survives the quadric, counted, and a bracket with no
+    overall factor of h, residual_terms -1; failure is data on both."""
+
+    def test_bumped_term_counts_the_surviving_residual(self, monkeypatch):
+        bump_first_qc_adjacent(monkeypatch)
+        m, p, idx = Metric(BUMP_DIAG), ModelParams.from_a(BUMP_A), (0, 1, 2)
+        rep = verify_relation("qc_adjacent", idx, m, p)
+        cl = verify_classical_relation("qc_adjacent", idx, m, p)
+        assert (rep.passed, rep.reduced, rep.residual_terms) == (False, False, BUMP_TERMS[0])
+        assert cl == {"family": "qc_adjacent", "indices": idx, "passed": False,
+                      "reduced": False, "residual_terms": BUMP_TERMS[1]}
+        for ring, terms in zip((model.QUANTUM, phase.CLASSICAL), BUMP_TERMS):
+            assert len(model._table_residual("qc_adjacent", idx, m, p, ring).terms) == terms
+
+    def test_h0_term_fails_without_raising(self, monkeypatch):
+        add_h0_term_to_quantum_Q01(monkeypatch)
+        m, p = Metric(BUMP_DIAG), ModelParams.from_a(BUMP_A)
+        for fam in ("qq_c", "qc_adjacent"):
+            rep = verify_relation(fam, (0, 1, 2), m, p)
+            assert (rep.passed, rep.reduced, rep.residual_terms) == (False, False, -1), fam
+            assert rep.elapsed_ms > 0
+            # the classical ring is untouched
+            assert verify_classical_relation(fam, (0, 1, 2), m, p)["passed"], fam
+
+
 def materialised_residual(family, idx, metric, params, quantum):
     """The residual as the table reads, each operator formed: the bracket
     minus the sum of the scaled RHS words (for the classical ring, the
@@ -455,9 +508,8 @@ class TestFusedResidual:
             for m in (Metric(diag), Metric(tuple(-g for g in diag))):
                 p = random_params(rng, d)
                 idx = rng.choice(tuples)
-                for quantum, fused in ((True, model._relation_residual),
-                                       (False, phase.classical_relation_residual)):
-                    got = fused(fam, idx, m, p)
+                for quantum, ring in ((True, model.QUANTUM), (False, phase.CLASSICAL)):
+                    got = model._table_residual(fam, idx, m, p, ring)
                     want = materialised_residual(fam, idx, m, p, quantum)
                     assert type(got) is type(want)
                     assert got.terms == want.terms, (fam, idx, m.diag, p.a, quantum)

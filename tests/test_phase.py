@@ -540,7 +540,8 @@ class TestLeadingOrder:
             m = Metric(diag)
             for table in tables:
                 monkeypatch.setitem(model.RELATIONS, family, (arity, lhs, table))
-                R = principal_symbol(divide_by_hbar(model._relation_residual(family, idx, m, p)))
+                R = principal_symbol(divide_by_hbar(
+                    model._table_residual(family, idx, m, p, model.QUANTUM)))
                 R_cl = classical_relation_residual(family, idx, m, p)
                 eps = [e for e in (1, -1) if R.terms == R_cl.scale(e).terms]
                 assert eps, (diag, table)

@@ -462,6 +462,57 @@ class TestIntegerView:
             assert type(rebuilt) is type(op) and rebuilt.terms == op.terms
 
 
+def _reordered(op):
+    """An equal operator whose term dict (and WeylOp scalar dicts) were
+    filled in the reverse order."""
+    return type(op)(op.dim, {key: dict(reversed(c.items())) if isinstance(c, dict) else c
+                             for key, c in reversed(op.terms.items())})
+
+
+class TestTermDict:
+    """The constructor, hash, repr and sorted_terms that WeylOp and
+    phase.PhasePoly share through TermDict."""
+
+    def test_repr_is_pinned(self):
+        from pseudosphere.phase import PhasePoly
+        X = WeylOp.term(2, F(-3, 4), smon=(-2, 1), dmon=(0, 2)) \
+            + WeylOp.term(2, 5, smon=(-2, 1), dmon=(0, 2), hpow=2) \
+            + WeylOp.term(2, F(1, 3), smon=(1, -1), dmon=(1, 0), hpow=1)
+        f = PhasePoly.term(2, F(-3, 4), smon=(-2, 1), pmon=(0, 2)) \
+            + PhasePoly.term(2, F(7, 2), smon=(1, -1), pmon=(1, 0)) + PhasePoly.term(2, 2)
+        assert repr(X) == "WeylOp[(-3/4 + 5*h^2)*s1^-2*s2^1*D2^2 + (1/3*h^1)*s1^1*s2^-1*D1^1]"
+        assert repr(f) == "PhasePoly[(-3/4)*s1^-2*s2^1*p2^2 + (2) + (7/2)*s1^1*s2^-1*p1^1]"
+        assert repr(WeylOp.zero(3)) == "WeylOp(0)"
+        assert repr(PhasePoly.zero(3)) == "PhasePoly(0)"
+
+    def test_term_checks_exponents_on_both_rings(self):
+        from pseudosphere.phase import PhasePoly
+        for term in (lambda A, B: WeylOp.term(2, 3, smon=A, dmon=B, hpow=1),
+                     lambda A, B: PhasePoly.term(2, 3, smon=A, pmon=B)):
+            for A, B in (((1,), None), (None, (0, 1, 0)), ((1, 0), (0, -1))):
+                with pytest.raises(ValueError, match="bad exponent vectors"):
+                    term(A, B)
+        assert WeylOp.term(2, 3, smon=(-1, 2), hpow=1).terms == {((-1, 2), (0, 0)): {1: F(3)}}
+        assert PhasePoly.term(2, 3, pmon=(0, 2)).terms == {((0, 0), (0, 2)): F(3)}
+        assert WeylOp.term(2, 0, smon=(1, 1)).is_zero() and PhasePoly.term(2, 0).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 4))
+    def test_equal_operators_hash_equal_and_sort_alike(self, data, dim):
+        # the PhasePoly of each key's lowest-power coefficient has X's keys,
+        # and its sorted_terms list them in the same order
+        from pseudosphere.phase import PhasePoly
+        X = data.draw(dense_ops(dim))
+        f = PhasePoly(dim, {key: hp[min(hp)] for key, hp in X.terms.items()})
+        for op in (X, f):
+            Y = _reordered(op)
+            assert Y == op and hash(Y) == hash(op) and len({op, Y}) == 1
+            assert Y.sorted_terms() == op.sorted_terms()
+        assert [key for key, _ in X.sorted_terms()] == sorted(X.terms)
+        assert f.sorted_terms() == tuple((key, ((0, f.terms[key]),))
+                                         for key, _ in X.sorted_terms())
+
+
 def reference_commutator(lhs, rhs):
     """The two products formed and subtracted: the oracle for the
     one-pass commutator."""
